@@ -48,6 +48,7 @@ from .harness import (
     miscoverage_anywhere,
     miscoverage_selected,
     oracle_sup_quantile,
+    run_metrics,
     split_surrogate,
     surrogate_generator,
 )
@@ -103,6 +104,7 @@ __all__ = [
     "rr_band",
     "rrr_band",
     "rrr_band_population",
+    "run_metrics",
     "select_elbow",
     "select_even_tradeoff",
     "selective_ratio_upper",

@@ -5,8 +5,13 @@ Subcommands:
 - ``band``       compute a confidence band for a loss matrix CSV
 - ``select``     pick a threshold trading off two empirical risks
 - ``suggest-b``  recommend a bootstrap replicate count
-- ``simulate``   Monte Carlo metrics for one synthetic configuration
-- ``eval``       run a JSON experiment descriptor (methods x sample sizes)
+- ``simulate``   Monte Carlo metrics for one synthetic configuration; a
+                 one-entry ``eval``
+- ``eval``       run a JSON experiment descriptor (methods x sample sizes x
+                 metrics), run-major: each run is realized once and each
+                 method's band built once, shared by every metric
+- ``compose``    combine component bands through a named map
+- ``dump-sups``  dump the sorted bootstrap supremum distribution
 
 Every run writes a JSON sidecar echoing all effective parameters (defaults
 and the seed included), so it can be re-executed from its own output. Exit
@@ -35,11 +40,9 @@ from .harness import (
     EQUICORRELATED,
     GeneratorSpec,
     MethodSpec,
-    conservatism,
     default_classification_grid,
     default_synthetic_grid,
-    miscoverage_anywhere,
-    miscoverage_selected,
+    run_metrics,
     surrogate_generator,
 )
 from .losses import ORIENTATIONS, UNCONSTRAINED, ParameterGrid, threshold_losses
@@ -50,9 +53,6 @@ EXIT_OK = 0
 EXIT_PARSE = 3
 EXIT_MISSING = 4
 EXIT_DOMAIN = 5
-
-_METRICS = ("anywhere", "selected", "conservatism")
-
 
 def _default_workers() -> int:
     # thread count only; never affects results
@@ -73,21 +73,8 @@ def _write_sidecar(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _method_spec(args) -> MethodSpec:
-    return MethodSpec(
-        name=args.method,
-        delta=args.delta,
-        B=args.B,
-        r=args.r,
-        delta_glob=args.delta_glob,
-        delta_loc=args.delta_loc,
-    )
-
-
-def _add_method_args(parser, with_method: bool = True) -> None:
-    if with_method:
-        parser.add_argument("--method", required=True,
-                            choices=("nasm", "rr", "rrr", "pointwise"))
+def _add_method_args(parser) -> None:
+    parser.add_argument("--method", required=True, choices=("nasm", "rr", "rrr", "pointwise"))
     parser.add_argument("--delta", type=float, default=0.1)
     parser.add_argument("--B", type=int, default=1000)
     parser.add_argument("--r", type=float, default=0.1)
@@ -221,15 +208,49 @@ def _generator_from_config(cfg: dict) -> GeneratorSpec:
     raise ValueError(f"unknown generator family {family!r}")
 
 
-def _run_metric(metric, method, spec, n, runs, seed, r, scheme, workers, trace):
-    if metric == "anywhere":
-        return miscoverage_anywhere(method, spec, n, runs, seed,
-                                    workers=workers, trace=trace)
-    if metric == "selected":
-        return miscoverage_selected(method, spec, n, runs, seed, r=r,
-                                    workers=workers, trace=trace)
-    return conservatism(method, spec, n, runs, seed, scheme=scheme, r=r,
-                        workers=workers, trace=trace)
+def _run_experiment(desc: dict, seed: SeedRecord, workers: int, prefix: Path,
+                    header: dict) -> list:
+    """Run a descriptor and write its metrics CSV/JSON (and trace) at ``prefix``.
+
+    Each sample size is one run-major pass over every method and metric, so
+    the cells share one realization per run and one band per (method, run).
+    Reports come out in method -> n -> metric order.
+    """
+    spec = _generator_from_config(desc.get("generator", {}))
+    runs = int(desc.get("runs", 1000))
+    n_list = desc.get("n", [1000])
+    if isinstance(n_list, int):
+        n_list = [n_list]
+    metrics = desc.get("metrics", ["anywhere"])
+    r = float(desc.get("r", 0.1))
+    scheme = desc.get("scheme", "even-tradeoff")
+    methods = [MethodSpec(name=mc["name"], delta=mc.get("delta", 0.1), B=mc.get("B", 1000),
+                          r=mc.get("r", r), delta_glob=mc.get("delta_glob", 0.01),
+                          delta_loc=mc.get("delta_loc", 0.09))
+               for mc in desc.get("methods", [{"name": "rr"}])]
+
+    by_n = []
+    for n in n_list:
+        t0 = time.perf_counter()
+        traces = []
+        by_n.append((run_metrics(methods, spec, int(n), runs, seed, metrics, r=r,
+                                 scheme=scheme, workers=workers, traces=traces), traces))
+        print(f"n={n}: {len(methods)} method(s) x {len(metrics)} metric(s) "
+              f"({time.perf_counter() - t0:.1f}s)", file=sys.stderr)
+    reports, traces = [], {}
+    for i, method in enumerate(methods):
+        for n, (cells, cell_traces) in zip(n_list, by_n):
+            for rep, trace, metric in zip(cells[i], cell_traces[i], metrics):
+                reports.append(rep)
+                traces[f"{method.name}_n{n}_{metric}"] = trace
+                print(f"{method.name} n={n} {metric}: estimate={rep.estimate:.6g} "
+                      f"se={rep.std_error:.3g}", file=sys.stderr)
+    fileio.write_metrics_csv(reports, prefix.with_suffix(".csv"))
+    fileio.write_metrics_json(reports, prefix.with_suffix(".json"), header=header)
+    if desc.get("trace", False):
+        trace_path = prefix.with_suffix(".trace.json")
+        trace_path.write_text(json.dumps(traces, indent=1, sort_keys=True) + "\n")
+    return reports
 
 
 def cmd_simulate(args) -> int:
@@ -238,23 +259,11 @@ def cmd_simulate(args) -> int:
     if args.grid_size:
         gen_cfg["grid"] = {"low": args.grid_low, "high": args.grid_high,
                            "size": args.grid_size}
-    spec = _generator_from_config(gen_cfg)
-    method = _method_spec(args)
-    metrics = [m.strip() for m in args.metric.split(",")]
-    for m in metrics:
-        if m not in _METRICS:
-            raise ValueError(f"unknown metric {m!r}")
-    reports = []
-    for metric in metrics:
-        t0 = time.perf_counter()
-        rep = _run_metric(metric, method, spec, args.n, args.runs, seed,
-                          args.r, args.scheme, args.workers, None)
-        reports.append(rep)
-        print(f"{metric}: estimate={rep.estimate:.6g} se={rep.std_error:.3g} "
-              f"({time.perf_counter() - t0:.1f}s)", file=sys.stderr)
-    prefix = Path(args.output_prefix)
-    fileio.write_metrics_csv(reports, prefix.with_suffix(".csv"))
-    fileio.write_metrics_json(reports, prefix.with_suffix(".json"), header={
+    desc = {"generator": gen_cfg, "n": [args.n], "runs": args.runs, "r": args.r,
+            "scheme": args.scheme, "metrics": [m.strip() for m in args.metric.split(",")],
+            "methods": [{"name": args.method, "delta": args.delta, "B": args.B,
+                         "delta_glob": args.delta_glob, "delta_loc": args.delta_loc}]}
+    reports = _run_experiment(desc, seed, args.workers, Path(args.output_prefix), header={
         "command": "simulate",
         "seed": seed.as_dict(),
         "workers_hint": args.workers,
@@ -271,54 +280,12 @@ def cmd_eval(args) -> int:
     except json.JSONDecodeError as exc:
         raise fileio.ParseError(f"{desc_path}: invalid JSON ({exc})") from None
     seed = _resolve_seed(desc.get("seed", args.seed))
-    spec = _generator_from_config(desc.get("generator", {}))
-    runs = int(desc.get("runs", 1000))
-    n_list = desc.get("n", [1000])
-    if isinstance(n_list, int):
-        n_list = [n_list]
-    metrics = desc.get("metrics", ["anywhere"])
-    for m in metrics:
-        if m not in _METRICS:
-            raise ValueError(f"unknown metric {m!r} in descriptor")
-    r = float(desc.get("r", 0.1))
-    scheme = desc.get("scheme", "even-tradeoff")
-    want_trace = bool(desc.get("trace", False))
-
-    methods = []
-    for mc in desc.get("methods", [{"name": "rr"}]):
-        methods.append(MethodSpec(
-            name=mc["name"],
-            delta=mc.get("delta", 0.1),
-            B=mc.get("B", 1000),
-            r=mc.get("r", r),
-            delta_glob=mc.get("delta_glob", 0.01),
-            delta_loc=mc.get("delta_loc", 0.09),
-        ))
-
     prefix = Path(args.output_prefix)
-    reports = []
-    traces = {}
-    for method in methods:
-        for n in n_list:
-            for metric in metrics:
-                trace = [] if want_trace else None
-                t0 = time.perf_counter()
-                rep = _run_metric(metric, method, spec, int(n), runs, seed,
-                                  r, scheme, args.workers, trace)
-                reports.append(rep)
-                print(f"{method.name} n={n} {metric}: estimate={rep.estimate:.6g} "
-                      f"({time.perf_counter() - t0:.1f}s)", file=sys.stderr)
-                if want_trace:
-                    traces[f"{method.name}_n{n}_{metric}"] = trace
-    fileio.write_metrics_csv(reports, prefix.with_suffix(".csv"))
-    fileio.write_metrics_json(reports, prefix.with_suffix(".json"), header={
+    reports = _run_experiment(desc, seed, args.workers, prefix, header={
         "command": "eval",
         "descriptor": str(desc_path),
         "seed": seed.as_dict(),
     })
-    if want_trace:
-        trace_path = prefix.with_suffix(".trace.json")
-        trace_path.write_text(json.dumps(traces, indent=1, sort_keys=True) + "\n")
     print(f"{len(reports)} report(s) written to {prefix.with_suffix('.csv')}")
     return EXIT_OK
 

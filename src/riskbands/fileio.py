@@ -1,4 +1,4 @@
-"""CSV and JSON serialization for matrices, panels, curves, bands and reports.
+"""CSV and JSON serialization for matrices, panels, bands and reports.
 
 All numbers are written with full round-trip precision and parsed as plain
 decimal floating point; no locale-dependent formats. Band CSVs carry one row
@@ -15,7 +15,7 @@ import numpy as np
 
 from .bootstrap import BootstrapSupDistribution
 from .bounds import ConfidenceBand
-from .empirical import IndexSet, RiskCurve
+from .empirical import IndexSet
 from .harness import MetricsReport
 from .losses import UNCONSTRAINED, BinaryScorePanel, LossMatrix, ParameterGrid
 
@@ -94,23 +94,6 @@ def read_panel(scores_path, labels_path) -> BinaryScorePanel:
         return BinaryScorePanel(scores, labels)
     except ValueError as exc:
         raise ParseError(f"{scores_path} / {labels_path}: {exc}") from None
-
-
-def write_curve(curve: RiskCurve, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "value"])
-        for t, v in zip(curve.grid.values, curve.values):
-            writer.writerow([_fmt(t), _fmt(v)])
-
-
-def curve_record(curve: RiskCurve) -> dict:
-    return {
-        "t": curve.grid.values.tolist(),
-        "value": curve.values.tolist(),
-        "sample_size": curve.sample_size,
-    }
 
 
 def write_band(band: ConfidenceBand, path, sidecar_extra: dict | None = None) -> Path:

@@ -18,14 +18,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .bootstrap import SeedRecord, conservative_quantile, rr_band
 from .bounds import ConfidenceBand, nasm_band, wsr_band, wsr_rejects
 from .empirical import empirical_risk, sublevel_set
 from .losses import NONDECREASING, NONINCREASING, LossMatrix, ParameterGrid
 from .rrr import RRRConfig, rrr_band
-from .selection import select_elbow, select_even_tradeoff
+from .selection import SCHEMES, select_elbow, select_even_tradeoff
 
 EQUICORRELATED = "equicorrelated-gaussian-cdf"
 CONSTANT = "constant"
@@ -33,8 +32,7 @@ CUSTOM = "custom"
 FAMILIES = (EQUICORRELATED, CONSTANT, CUSTOM)
 
 METHOD_NAMES = ("nasm", "rr", "rrr", "pointwise")
-
-DEFAULT_RHOS = (-0.2, 0.2, 0.6)
+METRICS = ("anywhere", "selected", "conservatism")
 
 
 def default_synthetic_grid(size: int = 1000) -> ParameterGrid:
@@ -65,11 +63,15 @@ class GeneratorSpec:
     realize_fn: Callable[[int, SeedRecord], tuple[LossMatrix, np.ndarray]] | None = None
     pair_fn: Callable[[int, SeedRecord], tuple[LossMatrix, LossMatrix, np.ndarray]] | None = None
     label: str = ""
+    _cdf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown generator family {self.family!r}")
         if self.family == EQUICORRELATED:
+            # the truth is the standard normal CDF on the grid; computed once
+            object.__setattr__(self, "_cdf", np.array(
+                [0.5 * math.erfc(-t / math.sqrt(2.0)) for t in self.grid.values.tolist()]))
             b = int(self.batch_size)
             if b < 1:
                 raise ValueError("batch size must be >= 1")
@@ -85,7 +87,7 @@ class GeneratorSpec:
 
     def truth_values(self) -> np.ndarray:
         if self.family == EQUICORRELATED:
-            return ndtr(self.grid.values)
+            return self._cdf.copy()
         if self.family == CONSTANT:
             return np.full(len(self.grid), self.value)
         raise ValueError("custom generators carry per-realization truth; use realize()")
@@ -105,41 +107,38 @@ class GeneratorSpec:
         n = int(n)
         if n < 1:
             raise ValueError("need n >= 1")
+        if self.family == CUSTOM:
+            return self.realize_fn(n, seed)
         if self.family == EQUICORRELATED:
             z = self._draw_batches(n, seed.generator())
             values = (z[:, :, None] <= self.grid.values[None, None, :]).mean(axis=1)
-            return LossMatrix(self.grid, values, NONDECREASING), self.truth_values()
-        if self.family == CONSTANT:
+        else:
             values = np.full((n, len(self.grid)), self.value)
-            return LossMatrix(self.grid, values, NONDECREASING), self.truth_values()
-        return self.realize_fn(n, seed)
+        return LossMatrix(self.grid, values, NONDECREASING), self.truth_values()
 
     def realize_pair(self, n: int, seed: SeedRecord) -> tuple[LossMatrix, LossMatrix, np.ndarray]:
         """Loss matrix, an opposing (nonincreasing) companion, and the truth.
 
         The companion loss is the complement of the primary loss evaluated at
         a shifted threshold, giving a genuine tradeoff: the sum of the two
-        population risks is minimized strictly inside the grid.
+        population risks is minimized strictly inside the grid. The primary
+        matrix and truth are ``realize``'s at the same seed.
         """
         n = int(n)
-        if self.family == EQUICORRELATED:
-            z = self._draw_batches(n, seed.generator())
-            inside = z[:, :, None]
-            values = (inside <= self.grid.values[None, None, :]).mean(axis=1)
-            shifted = (inside <= (self.grid.values + self.tradeoff_shift)[None, None, :]).mean(axis=1)
-            primary = LossMatrix(self.grid, values, NONDECREASING)
-            companion = LossMatrix(self.grid, 1.0 - shifted, NONINCREASING)
-            return primary, companion, self.truth_values()
-        if self.family == CONSTANT:
-            primary = LossMatrix(self.grid, np.full((n, len(self.grid)), self.value),
-                                 NONDECREASING)
-            companion = LossMatrix(self.grid, np.full((n, len(self.grid)), 1.0 - self.value),
-                                   NONINCREASING)
-            return primary, companion, self.truth_values()
-        if self.pair_fn is not None:
+        if self.family == CUSTOM:
+            if self.pair_fn is None:
+                raise ValueError("this generator has no tradeoff companion; "
+                                 "supply a pair_fn or use an analytic family")
             return self.pair_fn(n, seed)
-        raise ValueError("this generator has no tradeoff companion; "
-                         "supply a pair_fn or use an analytic family")
+        primary, truth = self.realize(n, seed)
+        if self.family == EQUICORRELATED:
+            # the primary's batches again, scored at the shifted threshold
+            z = self._draw_batches(n, seed.generator())
+            shifted = (z[:, :, None] <= (self.grid.values + self.tradeoff_shift)[None, None, :])
+            companion = 1.0 - shifted.mean(axis=1)
+        else:
+            companion = np.full((n, len(self.grid)), 1.0 - self.value)
+        return primary, LossMatrix(self.grid, companion, NONINCREASING), truth
 
 
 def gen_equicorrelated(
@@ -227,22 +226,8 @@ class MethodSpec:
         and tests the capital process at the truth directly, which decides
         the same event.
         """
-        if self.name == "pointwise":
-            if restrict is None:
-                return bool(wsr_rejects(matrix, truth, self.delta).any())
-            idx = np.asarray(restrict)
-            if idx.size == 0:
-                return False
-            sub = LossMatrix(ParameterGrid(matrix.grid.values[idx]),
-                             matrix.values[:, idx], "unconstrained")
-            return bool(wsr_rejects(sub, truth[idx], self.delta).any())
-        band = self.upper_band(matrix, seed, workers=workers)
-        idx = band.validity.indices
-        if restrict is not None:
-            idx = np.intersect1d(idx, restrict)
-        if idx.size == 0:
-            return False
-        return bool((truth[idx] > band.upper[idx]).any())
+        band = None if self.name == "pointwise" else self.upper_band(matrix, seed, workers=workers)
+        return _miscovered(self, matrix, truth, band, restrict)
 
     def config_echo(self) -> dict:
         echo = {"method": self.name, "delta": self.delta}
@@ -301,6 +286,134 @@ def oracle_sup_quantile(
     return conservative_quantile(sups, delta)
 
 
+def _miscovered(method: MethodSpec, matrix: LossMatrix, truth: np.ndarray,
+                band: ConfidenceBand | None, restrict: np.ndarray | None) -> bool:
+    # the event of MethodSpec.miscovers, given the band it would build
+    if method.name == "pointwise":
+        if restrict is None:
+            return bool(wsr_rejects(matrix, truth, method.delta).any())
+        idx = np.asarray(restrict)
+        if idx.size == 0:
+            return False
+        sub = LossMatrix(ParameterGrid(matrix.grid.values[idx]),
+                         matrix.values[:, idx], "unconstrained")
+        return bool(wsr_rejects(sub, truth[idx], method.delta).any())
+    idx = band.validity.indices
+    if restrict is not None:
+        idx = np.intersect1d(idx, restrict)
+    if idx.size == 0:
+        return False
+    return bool((truth[idx] > band.upper[idx]).any())
+
+
+def _cell_report(metric: str, values: np.ndarray, config: dict, r: float,
+                 scheme: str) -> MetricsReport:
+    runs = values.size
+    if metric != "conservatism":
+        p = float(values.mean())
+        if metric == "selected":
+            config["r"] = r
+        return MetricsReport(f"miscoverage-{metric}", p, runs,
+                             math.sqrt(p * (1.0 - p) / runs), config)
+    kept = values[~np.isnan(values)]
+    if kept.size == 0:
+        raise ValueError("every run was excluded; no threshold had a valid band value")
+    se = float(kept.std(ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0
+    config.update({"scheme": scheme, "r": r})
+    return MetricsReport("conservatism", float(kept.mean()), runs, se, config,
+                         extra={"excluded_runs": int(runs - kept.size)})
+
+
+def _trace_records(metric: str, values: np.ndarray) -> list[dict]:
+    if metric != "conservatism":
+        return [{"run": i, "event": bool(v)} for i, v in enumerate(values)]
+    return [{"run": i, "gap": None if np.isnan(v) else float(v)} for i, v in enumerate(values)]
+
+
+def run_metrics(
+    methods: list[MethodSpec],
+    spec: GeneratorSpec,
+    n: int,
+    runs: int,
+    seed: SeedRecord | int,
+    metrics: list[str],
+    r: float = 0.1,
+    scheme: str = "even-tradeoff",
+    workers: int = 1,
+    traces: list | None = None,
+) -> list[list[MetricsReport]]:
+    """Every (method, metric) cell of one Monte Carlo experiment, run-major.
+
+    Run ``i`` realizes once at ``seed.child(i).child(0)``, with the tradeoff
+    companion only when conservatism is asked for (its primary matrix and
+    truth equal the plain realization's), and builds each method's band once
+    from ``seed.child(i).child(1)``. Every metric reduces that band, so all
+    cells share common random numbers. ``anywhere``: the truth exceeds the
+    band somewhere on validity. ``selected``: the same within the empirical
+    sublevel set at ``r``; an empty set counts as covered. ``conservatism``:
+    band minus truth at the threshold ``scheme`` selects within that set;
+    runs with no selection, or one outside validity, are excluded, and a cell
+    whose every run is excluded raises ``ValueError``. Returns
+    ``reports[i][j]`` for ``methods[i]`` and ``metrics[j]``; ``traces``, when
+    given, is extended with the per-run records in the same nesting.
+    """
+    if isinstance(seed, int):
+        seed = SeedRecord(seed)
+    for metric in metrics:
+        if metric not in METRICS:
+            raise ValueError(f"unknown metric {metric!r}")
+    paired = "conservatism" in metrics
+    if paired and scheme not in SCHEMES:
+        raise ValueError("scheme must be 'even-tradeoff' or 'elbow'")
+    select = select_even_tradeoff if scheme == "even-tradeoff" else select_elbow
+    needs_curve = paired or "selected" in metrics
+    needs_band = any(metric != "conservatism" for metric in metrics)
+    # per cell: 0/1 miscoverage events, or gaps with NaN for excluded runs
+    values = [[np.full(runs, np.nan) if metric == "conservatism" else np.zeros(runs, dtype=bool)
+               for metric in metrics] for _ in methods]
+
+    def one(run: int) -> None:
+        run_seed = seed.child(run)
+        if paired:
+            matrix, companion, truth = spec.realize_pair(n, run_seed.child(0))
+        else:
+            matrix, truth = spec.realize(n, run_seed.child(0))
+        selected = chosen = None
+        if needs_curve:
+            curve = empirical_risk(matrix)
+            selected = sublevel_set(curve, r)
+            if paired and not selected.is_empty:
+                chosen = select(curve, empirical_risk(companion), selected)
+        for method, cells in zip(methods, values):
+            band = None
+            if chosen is not None or (needs_band and method.name != "pointwise"):
+                band = method.upper_band(matrix, run_seed.child(1))
+            for metric, cell in zip(metrics, cells):
+                if metric != "conservatism":
+                    restrict = selected.indices if metric == "selected" else None
+                    cell[run] = _miscovered(method, matrix, truth, band, restrict)
+                elif chosen is not None and chosen.index in band.validity.indices:
+                    cell[run] = band.upper[chosen.index] - truth[chosen.index]
+
+    _map_runs(one, runs, workers)
+    if traces is not None:
+        traces.extend([[_trace_records(metric, cell) for metric, cell in zip(metrics, cells)]
+                       for cells in values])
+    echo = _spec_echo(spec, n, runs, seed)
+    return [[_cell_report(metric, cell, {**method.config_echo(), **echo}, r, scheme)
+             for metric, cell in zip(metrics, cells)]
+            for method, cells in zip(methods, values)]
+
+
+def _one_cell(method: MethodSpec, metric: str, trace: list | None, spec: GeneratorSpec,
+              n: int, runs: int, seed: SeedRecord | int, **kwargs) -> MetricsReport:
+    nested = None if trace is None else []
+    [[report]] = run_metrics([method], spec, n, runs, seed, [metric], traces=nested, **kwargs)
+    if trace is not None:
+        trace.extend(nested[0][0])
+    return report
+
+
 def miscoverage_anywhere(
     method: MethodSpec,
     spec: GeneratorSpec,
@@ -311,22 +424,7 @@ def miscoverage_anywhere(
     trace: list | None = None,
 ) -> MetricsReport:
     """Fraction of runs where the truth exceeds the band somewhere on validity."""
-    if isinstance(seed, int):
-        seed = SeedRecord(seed)
-    events = np.zeros(runs, dtype=bool)
-
-    def one(run: int) -> None:
-        run_seed = seed.child(run)
-        matrix, truth = spec.realize(n, run_seed.child(0))
-        events[run] = method.miscovers(matrix, truth, run_seed.child(1))
-
-    _map_runs(one, runs, workers)
-    if trace is not None:
-        trace.extend({"run": i, "event": bool(events[i])} for i in range(runs))
-    p = float(events.mean())
-    config = {**method.config_echo(), **_spec_echo(spec, n, runs, seed)}
-    return MetricsReport("miscoverage-anywhere", p, runs,
-                         math.sqrt(p * (1.0 - p) / runs), config)
+    return _one_cell(method, "anywhere", trace, spec, n, runs, seed, workers=workers)
 
 
 def miscoverage_selected(
@@ -343,24 +441,7 @@ def miscoverage_selected(
 
     A run with an empty selected set counts as covered.
     """
-    if isinstance(seed, int):
-        seed = SeedRecord(seed)
-    events = np.zeros(runs, dtype=bool)
-
-    def one(run: int) -> None:
-        run_seed = seed.child(run)
-        matrix, truth = spec.realize(n, run_seed.child(0))
-        selected = sublevel_set(empirical_risk(matrix), r)
-        events[run] = method.miscovers(matrix, truth, run_seed.child(1),
-                                       restrict=selected.indices)
-
-    _map_runs(one, runs, workers)
-    if trace is not None:
-        trace.extend({"run": i, "event": bool(events[i])} for i in range(runs))
-    p = float(events.mean())
-    config = {**method.config_echo(), **_spec_echo(spec, n, runs, seed), "r": r}
-    return MetricsReport("miscoverage-selected", p, runs,
-                         math.sqrt(p * (1.0 - p) / runs), config)
+    return _one_cell(method, "selected", trace, spec, n, runs, seed, r=r, workers=workers)
 
 
 def conservatism(
@@ -381,43 +462,8 @@ def conservatism(
     where no threshold can be selected, or where the selected threshold falls
     outside the band's validity set, are excluded and counted.
     """
-    if isinstance(seed, int):
-        seed = SeedRecord(seed)
-    if scheme not in ("even-tradeoff", "elbow"):
-        raise ValueError("scheme must be 'even-tradeoff' or 'elbow'")
-    select = select_even_tradeoff if scheme == "even-tradeoff" else select_elbow
-    gaps = np.full(runs, np.nan)
-
-    def one(run: int) -> None:
-        run_seed = seed.child(run)
-        primary, companion, truth = spec.realize_pair(n, run_seed.child(0))
-        curve_l = empirical_risk(primary)
-        curve_q = empirical_risk(companion)
-        constraint = sublevel_set(curve_l, r)
-        if constraint.is_empty:
-            return
-        chosen = select(curve_l, curve_q, constraint)
-        band = method.upper_band(primary, run_seed.child(1))
-        if chosen.index not in band.validity.indices:
-            return
-        gaps[run] = band.upper[chosen.index] - truth[chosen.index]
-
-    _map_runs(one, runs, workers)
-    if trace is not None:
-        trace.extend(
-            {"run": i, "gap": None if np.isnan(gaps[i]) else float(gaps[i])}
-            for i in range(runs)
-        )
-    kept = gaps[~np.isnan(gaps)]
-    excluded = runs - kept.size
-    if kept.size == 0:
-        raise ValueError("every run was excluded; no threshold had a valid band value")
-    estimate = float(kept.mean())
-    se = float(kept.std(ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0
-    config = {**method.config_echo(), **_spec_echo(spec, n, runs, seed),
-              "scheme": scheme, "r": r}
-    return MetricsReport("conservatism", estimate, runs, se, config,
-                         extra={"excluded_runs": int(excluded)})
+    return _one_cell(method, "conservatism", trace, spec, n, runs, seed, r=r,
+                     scheme=scheme, workers=workers)
 
 
 def split_surrogate(matrix: LossMatrix, seed: SeedRecord | int) -> tuple[LossMatrix, LossMatrix]:
@@ -457,25 +503,22 @@ def surrogate_generator(
     if companion is not None and companion.n != base.n:
         raise ValueError("companion must cover the same rows as the base matrix")
 
-    def draw_rows(n: int, seed: SeedRecord):
+    def draw(n: int, seed: SeedRecord):
         perm = seed.child(0).generator().permutation(base.n)
         half = base.n // 2
         hold_idx, samp_idx = perm[:half], perm[half:]
         rng = seed.child(1).generator()
         picks = samp_idx[rng.integers(0, samp_idx.size, size=int(n))]
-        return hold_idx, picks
+        truth = np.clip(base.values[hold_idx].mean(axis=0), 0.0, 1.0)
+        return picks, LossMatrix(base.grid, base.values[picks], base.orientation), truth
 
     def realize(n: int, seed: SeedRecord) -> tuple[LossMatrix, np.ndarray]:
-        hold_idx, picks = draw_rows(n, seed)
-        truth = np.clip(base.values[hold_idx].mean(axis=0), 0.0, 1.0)
-        return LossMatrix(base.grid, base.values[picks], base.orientation), truth
+        _, primary, truth = draw(n, seed)
+        return primary, truth
 
     def realize_pair(n: int, seed: SeedRecord):
-        hold_idx, picks = draw_rows(n, seed)
-        truth = np.clip(base.values[hold_idx].mean(axis=0), 0.0, 1.0)
-        primary = LossMatrix(base.grid, base.values[picks], base.orientation)
-        paired = LossMatrix(companion.grid, companion.values[picks],
-                            companion.orientation)
+        picks, primary, truth = draw(n, seed)
+        paired = LossMatrix(companion.grid, companion.values[picks], companion.orientation)
         return primary, paired, truth
 
     return GeneratorSpec(CUSTOM, base.grid, realize_fn=realize,

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import riskbands
 
 from riskbands import (
     LossMatrix,
@@ -232,3 +238,66 @@ class TestEvalCommand:
         payload = json.loads(prefix.with_suffix(".json").read_text())
         assert len(payload["reports"]) == 2
         assert payload["reports"][0]["config"]["label"] == "panel:FNP"
+
+
+class TestRunMajorEval:
+    """``eval`` shares one realization per run and one band per (method, run)."""
+
+    METHODS = [{"name": "nasm", "delta": 0.1}, {"name": "rr", "delta": 0.1, "B": 64},
+               {"name": "rrr", "r": 0.1, "B": 64}, {"name": "pointwise", "delta": 0.1}]
+    METRICS = ["anywhere", "selected", "conservatism"]
+
+    def run_eval(self, tmp_path, name, methods, metrics):
+        descriptor = {
+            "generator": {"family": "equicorrelated", "rho": 0.2,
+                          "grid": {"low": -3.0, "high": 3.0, "size": 30}},
+            "methods": methods, "n": [80], "runs": 5, "seed": 17,
+            "metrics": metrics, "trace": True,
+        }
+        desc_path = tmp_path / f"desc-{name}.json"
+        desc_path.write_text(json.dumps(descriptor))
+        prefix = tmp_path / f"out-{name}"
+        assert main(["eval", "--descriptor", str(desc_path),
+                     "--output-prefix", str(prefix)]) == 0
+        rows = prefix.with_suffix(".csv").read_text().splitlines()[1:]
+        return rows, json.loads(prefix.with_suffix(".trace.json").read_text())
+
+    def test_each_cell_matches_its_own_eval(self, tmp_path):
+        rows, traces = self.run_eval(tmp_path, "all", self.METHODS, self.METRICS)
+        assert len(rows) == 12
+        for i, method in enumerate(self.METHODS):
+            for j, metric in enumerate(self.METRICS):
+                name = f"{method['name']}-{metric}"
+                alone_rows, alone_traces = self.run_eval(tmp_path, name, [method], [metric])
+                key = f"{method['name']}_n80_{metric}"
+                assert alone_rows == [rows[3 * i + j]]
+                assert alone_traces == {key: traces[key]}
+
+    def test_simulate_is_a_one_entry_eval(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--family", "equicorrelated", "--rho", "0.2",
+                     "--n", "80", "--runs", "6", "--method", "rrr", "--B", "64",
+                     "--grid-size", "30", "--metric", "anywhere,selected,conservatism",
+                     "--seed", "5", "--output-prefix", str(sim)]) == 0
+        descriptor = {
+            "generator": {"family": "equicorrelated", "rho": 0.2,
+                          "grid": {"low": -3.0, "high": 3.0, "size": 30}},
+            "methods": [{"name": "rrr", "delta": 0.1, "B": 64, "r": 0.1,
+                         "delta_glob": 0.01, "delta_loc": 0.09}],
+            "n": [80], "runs": 6, "seed": 5, "metrics": self.METRICS,
+        }
+        desc_path = tmp_path / "desc.json"
+        desc_path.write_text(json.dumps(descriptor))
+        ev = tmp_path / "ev"
+        assert main(["eval", "--descriptor", str(desc_path), "--output-prefix", str(ev)]) == 0
+        assert sim.with_suffix(".csv").read_text() == ev.with_suffix(".csv").read_text()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(riskbands.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, riskbands.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

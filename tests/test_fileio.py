@@ -17,7 +17,6 @@ from riskbands.fileio import (
     read_loss_matrix,
     read_panel,
     write_band,
-    write_curve,
     write_loss_matrix,
     write_metrics_csv,
     write_metrics_json,
@@ -123,14 +122,6 @@ class TestBandCsv:
 
 
 class TestOtherWriters:
-    def test_curve_csv(self, tmp_path):
-        curve = empirical_risk(toy_matrix())
-        path = tmp_path / "curve.csv"
-        write_curve(curve, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,value"
-        assert len(lines) == 5
-
     def test_sup_distribution_csv(self, tmp_path):
         dist = sup_distribution(toy_matrix(), None, "minus", 32, SeedRecord(1))
         path = tmp_path / "sups.csv"

@@ -14,11 +14,14 @@ from riskbands import (
     miscoverage_anywhere,
     miscoverage_selected,
     oracle_sup_quantile,
+    run_metrics,
+    select_even_tradeoff,
     split_surrogate,
+    sublevel_set,
     surrogate_generator,
     wsr_band,
 )
-from riskbands.harness import CONSTANT, EQUICORRELATED
+from riskbands.harness import CONSTANT, EQUICORRELATED, METRICS
 
 GRID = ParameterGrid.linspace(-3.0, 3.0, 41)
 
@@ -32,6 +35,30 @@ class TestGenerator:
         g = ParameterGrid(np.array([0.0]))
         for rho in (-0.2, 0.2, 0.6):
             assert spec_for(rho, g).truth_values()[0] == 0.5
+
+    def test_truth_matches_scipy_normal_cdf(self):
+        grid = ParameterGrid.linspace(-8.0, 8.0, 100_000)
+        truth = spec_for(0.2, grid).truth_values()
+        assert np.abs(truth - ndtr(grid.values)).max() <= 4.5e-16
+
+    def test_realize_pair_primary_matches_realize(self):
+        # the run loop realizes with the companion whenever conservatism is
+        # asked for, and the other metrics then read that primary matrix
+        rng = np.random.default_rng(25)
+        base = LossMatrix(GRID, np.minimum.accumulate(rng.random((60, 41)), axis=1),
+                          "nonincreasing")
+        companion = LossMatrix(GRID, np.maximum.accumulate(rng.random((60, 41)), axis=1),
+                               "nondecreasing")
+        specs = (spec_for(0.2), GeneratorSpec(CONSTANT, GRID, value=0.3),
+                 surrogate_generator(base, companion=companion))
+        for spec in specs:
+            for run in range(5):
+                seed = SeedRecord(26).child(run)
+                matrix, truth = spec.realize(30, seed)
+                primary, _, pair_truth = spec.realize_pair(30, seed)
+                assert np.array_equal(matrix.values, primary.values)
+                assert matrix.orientation == primary.orientation
+                assert np.array_equal(truth, pair_truth)
 
     def test_rho_range_validated(self):
         spec_for(-0.25)
@@ -186,6 +213,55 @@ class TestMiscoverage:
         a = miscoverage_anywhere(method, spec, 80, 20, 99, workers=1)
         b = miscoverage_anywhere(method, spec, 80, 20, 99, workers=4)
         assert a.estimate == b.estimate
+
+
+class TestRunMetrics:
+    METHODS = [MethodSpec("nasm"), MethodSpec("rr", B=64), MethodSpec("rrr", B=64),
+               MethodSpec("pointwise")]
+
+    def test_cells_match_per_run_reference(self):
+        # every cell of the shared loop equals the event or gap computed run
+        # by run from its own realization and band
+        spec = spec_for(0.2)
+        seed = SeedRecord(27)
+        n, runs = 150, 6
+        traces = []
+        reports = run_metrics(self.METHODS, spec, n, runs, seed, list(METRICS), traces=traces)
+        for method, row, row_traces in zip(self.METHODS, reports, traces):
+            anywhere, selected, gaps = [], [], []
+            for run in range(runs):
+                matrix, truth = spec.realize(n, seed.child(run, 0))
+                primary, companion, _ = spec.realize_pair(n, seed.child(run, 0))
+                curve = empirical_risk(matrix)
+                chosen = select_even_tradeoff(curve, empirical_risk(companion),
+                                              sublevel_set(curve, 0.1))
+                anywhere.append(method.miscovers(matrix, truth, seed.child(run, 1)))
+                selected.append(method.miscovers(matrix, truth, seed.child(run, 1),
+                                                 restrict=sublevel_set(curve, 0.1).indices))
+                band = method.upper_band(primary, seed.child(run, 1))
+                gap = band.upper[chosen.index] - truth[chosen.index]
+                gaps.append(gap if chosen.index in band.validity.indices else None)
+            assert [t["event"] for t in row_traces[0]] == anywhere
+            assert [t["event"] for t in row_traces[1]] == selected
+            assert [t["gap"] for t in row_traces[2]] == gaps
+            assert row[0].estimate == np.mean(anywhere)
+            assert row[1].estimate == np.mean(selected)
+            kept = [g for g in gaps if g is not None]
+            assert row[2].estimate == np.mean(kept)
+            assert row[2].extra["excluded_runs"] == runs - len(kept)
+
+    def test_parallel_runs_match_serial(self):
+        spec = spec_for(0.2)
+        serial, parallel = [], []
+        a = run_metrics(self.METHODS, spec, 80, 8, 31, list(METRICS), traces=serial)
+        b = run_metrics(self.METHODS, spec, 80, 8, 31, list(METRICS), workers=3,
+                        traces=parallel)
+        assert a == b
+        assert serial == parallel
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="unknown metric"):
+            run_metrics(self.METHODS, spec_for(0.2), 20, 2, 1, ["coverage"])
 
 
 class TestConservatism:
