@@ -5,10 +5,18 @@ drawing n rows with replacement), forms the resampled risk curve, and records
 the supremum over a grid subset of the centered, rescaled deviation from the
 empirical curve. Quantiles of those suprema give fixed-width uniform bands.
 
+One replicate engine serves every band: the deviations of B replicates on
+the full grid are computed once per (matrix, seed record, B), kept on the
+matrix (O(B·m) memory, independent of n), and reduced to signed suprema over
+any index set. ``rr_band``, ``sup_distribution`` and both passes of
+``rrr_band`` on the same matrix and seed therefore share their replicates.
+``suggest_b`` streams its suprema instead, so it never holds a B×m array.
+
 Determinism contract: replicate b is generated from a counter-based stream
-keyed by (seed record, b), and suprema are computed in fixed-size blocks, so
-the sorted output is bit-identical under serial and parallel execution and
-under any scheduling of the blocks.
+keyed by (seed record, b), and deviations are computed in fixed-size blocks,
+so the sorted output is bit-identical under serial and parallel execution,
+under any scheduling of the blocks, and whether the replicates were computed
+for this call or shared with an earlier one.
 """
 
 from __future__ import annotations
@@ -108,35 +116,41 @@ def conservative_quantile(sorted_values: np.ndarray, delta: float) -> float:
 
     This finite-B convention keeps the exceedance probability of the returned
     value at most delta (up to Monte Carlo error), which the plain empirical
-    quantile does not guarantee.
+    quantile does not guarantee. When B < (1-delta)/delta, k is clamped to B
+    (see ``quantile_clamped``).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     b = len(sorted_values)
     if b < 1:
         raise ValueError("empty sample")
-    k = _conservative_index(b, delta)
+    k = max(1, min(b, _order_index(b, delta)))
     return float(sorted_values[k - 1])
 
 
-def _conservative_index(b: int, delta: float) -> int:
+def _order_index(b: int, delta: float) -> int:
     # the 1e-9 guard keeps float dust from pushing an exactly-integer
     # (B+1)(1-delta) up to the next order statistic
-    k = math.ceil((b + 1) * (1.0 - delta) - 1e-9)
-    return max(1, min(b, k))
+    return math.ceil((b + 1) * (1.0 - delta) - 1e-9)
 
 
-def _block_sups(sub: np.ndarray, n: int, sign: str, counts: np.ndarray) -> np.ndarray:
-    """Suprema for a block of replicates given raw counts (block x n).
+def quantile_clamped(B: int, delta: float) -> bool:
+    """Whether B replicates are too few for the conservative 1-delta quantile.
 
-    ``sub`` holds column-centered losses: since the counts sum to n, the
-    deviation sqrt(n) (L*(t) - L(t)) equals ((counts - 1) @ centered) /
-    sqrt(n), and centering makes it exactly zero for constant columns.
+    Then ``conservative_quantile`` returns the sample maximum, whose
+    exceedance probability can reach 1/(B+1) > delta; bands built from such
+    a quantile carry the ``quantile-clamped`` note.
     """
-    if sub.shape[1] == 0:
-        return np.zeros(counts.shape[0])
-    g = (counts - 1.0) @ sub
-    g /= math.sqrt(n)
+    return _order_index(int(B), delta) > int(B)
+
+
+def _signed_sups(g: np.ndarray, sign: str) -> np.ndarray:
+    """Per-row supremum of deviation rows (replicates x grid points).
+
+    No columns means an empty supremum, taken as zero.
+    """
+    if g.shape[1] == 0:
+        return np.zeros(g.shape[0])
     if sign == "plus":
         return g.max(axis=1)
     if sign == "minus":
@@ -158,38 +172,53 @@ def _sup_values(
     seed: SeedRecord,
     B: int,
     workers: int = 1,
-    counts_cache: list[np.ndarray] | None = None,
+    keep: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Unsorted per-replicate suprema, streamed in fixed blocks.
+    """Unsorted per-replicate suprema over the columns of ``sub``, in fixed blocks.
 
-    ``counts_cache``: pass an empty list to capture the generated count
-    blocks for reuse (e.g. a second pass over a different subset with paired
-    replicates), or a previously captured list to replay them.
+    Each block of replicates forms its deviation rows sqrt(n) (L* - L) =
+    ((counts - 1) @ centered) / sqrt(n), which is valid because the counts
+    sum to n, and exactly zero on constant columns because ``sub`` is
+    column-centered first. Only the O(B) suprema outlive a block, unless
+    ``keep`` (a B x columns array) is given to receive the deviation rows.
     """
     sub = sub - sub.mean(axis=0)
     out = np.empty(B)
     blocks = [(b0, min(b0 + _BLOCK, B)) for b0 in range(0, B, _BLOCK)]
-    replay = counts_cache is not None and len(counts_cache) == len(blocks)
 
-    def work(item):
-        i, (b0, b1) = item
-        if replay:
-            counts = counts_cache[i]
-        else:
-            counts = _count_blocks(n, seed, b0, b1)
-            if counts_cache is not None:
-                counts_cache[i] = counts
-        out[b0:b1] = _block_sups(sub, n, sign, counts)
+    def work(block):
+        b0, b1 = block
+        g = (_count_blocks(n, seed, b0, b1) - 1.0) @ sub
+        g /= math.sqrt(n)
+        out[b0:b1] = _signed_sups(g, sign)
+        if keep is not None:
+            keep[b0:b1] = g
 
-    if counts_cache is not None and not replay:
-        counts_cache.extend([None] * len(blocks))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, enumerate(blocks)))
+            list(pool.map(work, blocks))
     else:
-        for item in enumerate(blocks):
-            work(item)
+        for block in blocks:
+            work(block)
     return out
+
+
+def _deviations(matrix: LossMatrix, seed: SeedRecord, B: int, workers: int = 1) -> np.ndarray:
+    """Read-only B x m deviations of the replicates on the full grid.
+
+    Row b is sqrt(n) (L*_b - L) for replicate b. The matrix keeps the last
+    (seed, B) entry (the worker count cannot change the bits, so it is not
+    part of the key) and frees it with itself.
+    """
+    key = (seed, B)
+    memo = matrix._replicates
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    g = np.empty((B, matrix.m))
+    _sup_values(matrix.values, matrix.n, "two-sided", seed, B, workers=workers, keep=g)
+    g.flags.writeable = False
+    object.__setattr__(matrix, "_replicates", (key, g))
+    return g
 
 
 def sup_distribution(
@@ -205,7 +234,8 @@ def sup_distribution(
     For each replicate, rows are reweighted by multinomial counts, the
     resampled curve is formed, and the supremum over ``subset`` of the signed
     (or, for ``two-sided``, absolute) centered, rescaled deviation is taken.
-    An empty subset yields all-zero suprema.
+    An empty subset yields all-zero suprema. Calls on the same matrix, seed
+    and B share one set of replicates, whatever the subset and sign.
     """
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}")
@@ -215,8 +245,9 @@ def sup_distribution(
     if subset is None:
         subset = IndexSet.full(matrix.grid)
     subset.check_against(matrix.grid)
-    sub = np.ascontiguousarray(matrix.values[:, subset.indices])
-    values = _sup_values(sub, matrix.n, sign, seed, B, workers=workers)
+    g = _deviations(matrix, seed, B, workers=workers)
+    # index sets are sorted and unique, so full length means every column
+    values = _signed_sups(g if len(subset) == matrix.m else g[:, subset.indices], sign)
     values.sort()
     return BootstrapSupDistribution(values, B, sign, subset, seed)
 
@@ -263,6 +294,7 @@ def rr_band(
         width_info=width,
         sample_size=n,
         simultaneous=True,
+        notes=("quantile-clamped",) if quantile_clamped(B, delta) else (),
         info={"B": B, "q_hat": q, "side": side, "seed": seed.as_dict()},
     )
 
@@ -302,6 +334,8 @@ def suggest_b(
     """
     if isinstance(seed, int):
         seed = SeedRecord(seed)
+    if sign not in SIGNS:
+        raise ValueError(f"sign must be one of {SIGNS}")
     if initial_b < 100:
         raise ValueError("initial_b must be at least 100")
     if not 0.0 < bracket_confidence < 1.0:
@@ -310,9 +344,10 @@ def suggest_b(
     history: list[tuple[int, float, float]] = []
     b = int(initial_b)
     while True:
-        dist = sup_distribution(matrix, None, sign, b, seed, workers=workers)
-        v = dist.sorted_values
-        q_boot = quantile_upper(dist, delta)
+        # streamed, not shared: B grows to 2**20, where B x m deviations would not fit
+        v = _sup_values(matrix.values, matrix.n, sign, seed, b, workers=workers)
+        v.sort()
+        q_boot = conservative_quantile(v, delta)
         if q_boot == 0.0:
             history.append((b, 0.0, 0.0))
             return SuggestBResult(b, 0.0, 0.0, 0.0, 0.0, met=False,

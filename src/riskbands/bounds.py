@@ -146,11 +146,24 @@ def _wsr_lambdas(losses: np.ndarray, delta: float) -> np.ndarray:
     steps = np.arange(1, n + 1, dtype=float)
     if losses.ndim == 2:
         steps = steps[:, None]
-    csum = np.cumsum(losses, axis=0)
-    mu = (0.5 + csum) / (1.0 + steps)
-    s2 = (0.25 + np.cumsum((losses - mu) ** 2, axis=0)) / (1.0 + steps)
-    s2_prev = np.concatenate([np.full_like(s2[:1], 0.25), s2[:-1]], axis=0)
-    return np.minimum(1.0, np.sqrt(2.0 * np.log(1.0 / delta) / (n * s2_prev)))
+    # in place where possible: at most two arrays of the losses' size live at once
+    mu = np.cumsum(losses, axis=0)
+    mu += 0.5
+    mu /= 1.0 + steps
+    sq = losses - mu
+    del mu
+    np.square(sq, out=sq)
+    s2 = np.cumsum(sq, axis=0)
+    del sq
+    s2 += 0.25
+    s2 /= 1.0 + steps
+    # the fraction at step i uses the variance through step i-1
+    s2[1:] = s2[:-1]
+    s2[:1] = 0.25
+    s2 *= n
+    np.divide(2.0 * np.log(1.0 / delta), s2, out=s2)
+    np.sqrt(s2, out=s2)
+    return np.minimum(1.0, s2, out=s2)
 
 
 def _capital_rejects(losses: np.ndarray, lam: np.ndarray, p, log_threshold: float) -> np.ndarray:
@@ -162,8 +175,8 @@ def _capital_rejects(losses: np.ndarray, lam: np.ndarray, p, log_threshold: floa
     """
     factors = 1.0 - lam * (losses - p)
     with np.errstate(divide="ignore"):
-        logs = np.log(factors)
-    running = np.cumsum(logs, axis=0)
+        np.log(factors, out=factors)
+    running = np.cumsum(factors, axis=0)
     return running.max(axis=0) > log_threshold
 
 

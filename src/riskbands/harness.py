@@ -28,8 +28,8 @@ from .selection import SCHEMES, select_elbow, select_even_tradeoff
 
 EQUICORRELATED = "equicorrelated-gaussian-cdf"
 CONSTANT = "constant"
-CUSTOM = "custom"
-FAMILIES = (EQUICORRELATED, CONSTANT, CUSTOM)
+CUSTOM_FAMILY = "custom"
+FAMILIES = (EQUICORRELATED, CONSTANT, CUSTOM_FAMILY)
 
 METHOD_NAMES = ("nasm", "rr", "rrr", "pointwise")
 METRICS = ("anywhere", "selected", "conservatism")
@@ -82,7 +82,7 @@ class GeneratorSpec:
                 )
         if self.family == CONSTANT and not 0.0 <= self.value <= 1.0:
             raise ValueError("constant value must lie in [0, 1]")
-        if self.family == CUSTOM and self.realize_fn is None:
+        if self.family == CUSTOM_FAMILY and self.realize_fn is None:
             raise ValueError("custom generators need a realize_fn")
 
     def truth_values(self) -> np.ndarray:
@@ -107,7 +107,7 @@ class GeneratorSpec:
         n = int(n)
         if n < 1:
             raise ValueError("need n >= 1")
-        if self.family == CUSTOM:
+        if self.family == CUSTOM_FAMILY:
             return self.realize_fn(n, seed)
         if self.family == EQUICORRELATED:
             z = self._draw_batches(n, seed.generator())
@@ -125,7 +125,7 @@ class GeneratorSpec:
         matrix and truth are ``realize``'s at the same seed.
         """
         n = int(n)
-        if self.family == CUSTOM:
+        if self.family == CUSTOM_FAMILY:
             if self.pair_fn is None:
                 raise ValueError("this generator has no tradeoff companion; "
                                  "supply a pair_fn or use an analytic family")
@@ -521,6 +521,6 @@ def surrogate_generator(
         paired = LossMatrix(companion.grid, companion.values[picks], companion.orientation)
         return primary, paired, truth
 
-    return GeneratorSpec(CUSTOM, base.grid, realize_fn=realize,
+    return GeneratorSpec(CUSTOM_FAMILY, base.grid, realize_fn=realize,
                          pair_fn=realize_pair if companion is not None else None,
                          label=label)

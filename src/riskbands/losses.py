@@ -11,7 +11,7 @@ restore monotonicity for nearly-monotone losses.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,11 +68,16 @@ class LossMatrix:
     threshold grows; it is not enforced at construction (``validate`` checks
     it), so that genuinely non-monotone losses such as the false discovery
     proportion can be represented and then monotonized.
+
+    ``_replicates`` holds the bootstrap deviations of the last (seed, B) the
+    bootstrap computed for this matrix (see ``bootstrap._deviations``); the
+    values are read-only, so the entry stays valid for the matrix's lifetime.
     """
 
     grid: ParameterGrid
     values: np.ndarray
     orientation: str = UNCONSTRAINED
+    _replicates: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)

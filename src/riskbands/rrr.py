@@ -8,6 +8,10 @@ targeted; (3) a one-sided local quantile over the adjusted set at budget
 delta_loc sets the band width. The band is valid simultaneously over the
 un-inflated empirical sublevel set with total budget delta_glob + delta_loc.
 The guarantee is asymptotic in n; the test suite checks it empirically.
+
+Both quantiles reduce the same paired replicates (one set of bootstrap
+deviations per matrix, seed and B), which an ``rr_band`` on the same matrix
+and seed shares as well.
 """
 
 from __future__ import annotations
@@ -15,9 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .bootstrap import SeedRecord, _sup_values, conservative_quantile
+from .bootstrap import SeedRecord, quantile_clamped, quantile_upper, sup_distribution
 from .bounds import ConfidenceBand
 from .empirical import ADJUSTED_SUBLEVEL, IndexSet, RiskCurve, empirical_risk, sublevel_set
 from .losses import UNCONSTRAINED, LossMatrix, validate
@@ -75,12 +77,8 @@ def _global_pass(matrix: LossMatrix, config: RRRConfig, workers: int):
     if not report.passed:
         raise ValueError(f"loss matrix fails validation: {report.message}")
     curve = empirical_risk(matrix)
-    cache: list[np.ndarray] = []
-    sups = _sup_values(np.ascontiguousarray(matrix.values), matrix.n, "two-sided",
-                       config.seed, config.B, workers=workers, counts_cache=cache)
-    sups.sort()
-    q_glob = conservative_quantile(sups, config.delta_glob)
-    return curve, q_glob, cache
+    dist = sup_distribution(matrix, None, "two-sided", config.B, config.seed, workers=workers)
+    return curve, quantile_upper(dist, config.delta_glob)
 
 
 def _local_pass(
@@ -88,7 +86,6 @@ def _local_pass(
     config: RRRConfig,
     curve: RiskCurve,
     q_glob: float,
-    cache: list[np.ndarray],
     level: float,
     r_adjusted: float | None,
     workers: int,
@@ -100,12 +97,9 @@ def _local_pass(
         curve.values <= level + 2.0 * q_glob / sqrt_n, ADJUSTED_SUBLEVEL
     )
 
-    # paired replicates: replay the counts generated by the global pass
-    loc_values = np.ascontiguousarray(matrix.values[:, adjusted.indices])
-    loc_sups = _sup_values(loc_values, n, "minus", config.seed, config.B,
-                           workers=workers, counts_cache=cache)
-    loc_sups.sort()
-    q_loc = conservative_quantile(loc_sups, config.delta_loc)
+    # paired replicates: the global pass's deviations, restricted to the adjusted set
+    loc = sup_distribution(matrix, adjusted, "minus", config.B, config.seed, workers=workers)
+    q_loc = quantile_upper(loc, config.delta_loc)
 
     width = q_loc / sqrt_n
     notes: tuple[str, ...] = ()
@@ -113,6 +107,8 @@ def _local_pass(
         notes = ("empty-validity",)
     if r_adjusted is not None and r_adjusted < 0.0:
         notes = notes + ("negative-adjusted-level",)
+    if any(quantile_clamped(config.B, d) for d in (config.delta_glob, config.delta_loc)):
+        notes = notes + ("quantile-clamped",)
     band = ConfidenceBand(
         grid=matrix.grid,
         lower=None,
@@ -144,8 +140,8 @@ def rrr_band(matrix: LossMatrix, config: RRRConfig, workers: int = 1) -> RRRResu
     An empty sublevel set yields a band with empty validity and a warning
     note rather than an error (the condition is data dependent).
     """
-    curve, q_glob, cache = _global_pass(matrix, config, workers)
-    return _local_pass(matrix, config, curve, q_glob, cache, config.r, None, workers)
+    curve, q_glob = _global_pass(matrix, config, workers)
+    return _local_pass(matrix, config, curve, q_glob, config.r, None, workers)
 
 
 def rrr_band_population(matrix: LossMatrix, config: RRRConfig, workers: int = 1) -> RRRResult:
@@ -156,6 +152,6 @@ def rrr_band_population(matrix: LossMatrix, config: RRRConfig, workers: int = 1)
     population sublevel set at r with high probability. A negative deflated
     level yields an empty validity set with a warning note.
     """
-    curve, q_glob, cache = _global_pass(matrix, config, workers)
+    curve, q_glob = _global_pass(matrix, config, workers)
     r_adj = config.r - q_glob / math.sqrt(matrix.n)
-    return _local_pass(matrix, config, curve, q_glob, cache, r_adj, r_adj, workers)
+    return _local_pass(matrix, config, curve, q_glob, r_adj, r_adj, workers)

@@ -193,8 +193,11 @@ def test_criterion_08_determinism_serial_vs_parallel():
         grid = ParameterGrid.linspace(0.0, 1.0, m)
         seed = SeedRecord(int(rng.integers(0, 2**62)))
         flat = LossMatrix(grid, rng.random((n, m)), "unconstrained")
+        # each side gets its own equal-valued matrix, so neither is served
+        # from bootstrap replicates the other left on a shared matrix
         serial = rr_band(flat, delta, B, seed, workers=1)
-        parallel = rr_band(flat, delta, B, seed, workers=MAX_WORKERS)
+        parallel = rr_band(LossMatrix(grid, flat.values, flat.orientation), delta, B, seed,
+                           workers=MAX_WORKERS)
         assert np.array_equal(serial.upper, parallel.upper), f"rr case {case}"
         assert serial.width_info == parallel.width_info
 
@@ -203,7 +206,7 @@ def test_criterion_08_determinism_serial_vs_parallel():
         cfg = RRRConfig(seed=seed, r=float(rng.uniform(0.2, 0.8)),
                         delta_glob=delta / 2, delta_loc=delta / 2, B=B)
         a = rrr_band(mono, cfg, workers=1)
-        b = rrr_band(mono, cfg, workers=MAX_WORKERS)
+        b = rrr_band(LossMatrix(grid, mono.values, mono.orientation), cfg, workers=MAX_WORKERS)
         assert np.array_equal(a.band.upper, b.band.upper), f"rrr case {case}"
         assert (a.q_glob, a.q_loc) == (b.q_glob, b.q_loc)
         assert np.array_equal(a.sublevel.indices, b.sublevel.indices)

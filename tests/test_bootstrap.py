@@ -1,3 +1,8 @@
+import math
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,17 +10,23 @@ from hypothesis import strategies as st
 
 from riskbands import (
     BootstrapSupDistribution,
+    GeneratorSpec,
     IndexSet,
     LossMatrix,
     ParameterGrid,
+    RRRConfig,
     SeedRecord,
+    conservative_quantile,
+    default_synthetic_grid,
     empirical_risk,
     quantile_upper,
     resample_counts,
     rr_band,
+    rrr_band,
     suggest_b,
     sup_distribution,
 )
+from riskbands.harness import EQUICORRELATED
 
 
 def random_matrix(seed, n=30, m=6, orientation="unconstrained"):
@@ -24,6 +35,10 @@ def random_matrix(seed, n=30, m=6, orientation="unconstrained"):
     if orientation == "nonincreasing":
         values = np.minimum.accumulate(values, axis=1)
     return LossMatrix(ParameterGrid.linspace(0.0, 1.0, m), values, orientation)
+
+
+def fresh_copy(matrix):
+    return LossMatrix(matrix.grid, matrix.values.copy(), matrix.orientation)
 
 
 def dist_of(values, sign="minus", subset=None):
@@ -96,7 +111,9 @@ class TestSupDistribution:
         m = random_matrix(3, n=50, m=12)
         seed = SeedRecord(6)
         d1 = sup_distribution(m, None, "two-sided", 300, seed, workers=1)
-        d2 = sup_distribution(m, None, "two-sided", 300, seed, workers=4)
+        # an equal-valued matrix of its own, so the parallel side is computed
+        # rather than served from the replicates kept on ``m``
+        d2 = sup_distribution(fresh_copy(m), None, "two-sided", 300, seed, workers=4)
         assert np.array_equal(d1.sorted_values, d2.sorted_values)
 
     def test_sorted_invariant_enforced(self):
@@ -166,6 +183,13 @@ class TestRRBand:
         assert band.info["seed"]["seed"] == 77
         assert band.method == "rr"
 
+    def test_clamped_quantile_is_noted(self):
+        m = random_matrix(26, n=40, m=6)
+        # B = 50 needs delta >= 1/51 to reach an order statistic below the maximum
+        assert rr_band(m, 0.01, 50, SeedRecord(1)).notes == ("quantile-clamped",)
+        assert rr_band(m, 0.1, 50, SeedRecord(1)).notes == ()
+        assert rr_band(m, 0.01, 99, SeedRecord(1)).notes == ()
+
 
 class TestSuggestB:
     def test_degenerate_constant_matrix(self):
@@ -206,3 +230,155 @@ class TestSuggestB:
         # the bracket never widened as B doubled (1/sqrt(B) shrinks)
         widths = [h[2] for h in result.history if np.isfinite(h[2])]
         assert widths == sorted(widths, reverse=True) or len(widths) <= 1
+
+
+def reference_deviations(matrix, seed, B, columns=None):
+    """sqrt(n) (L* - L) per replicate, from the counts and a GEMM per 64 replicates.
+
+    ``columns`` restricts the GEMM itself to those columns, as a separate
+    pass over a subset would compute it.
+    """
+    values = matrix.values if columns is None else matrix.values[:, columns]
+    centered = values - values.mean(axis=0)
+    counts = np.array([resample_counts(matrix.n, seed, b) for b in range(B)], dtype=float)
+    g = np.empty((B, centered.shape[1]))
+    for b0 in range(0, B, 64):
+        block = (counts[b0:b0 + 64] - 1.0) @ centered
+        block /= math.sqrt(matrix.n)
+        g[b0:b0 + 64] = block
+    return g
+
+
+class TestReplicateEngine:
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        import riskbands.bootstrap as bootstrap_mod
+        calls = []
+        original = bootstrap_mod.resample_counts
+
+        def counted(n, seed, replicate_index):
+            calls.append((seed, replicate_index))
+            return original(n, seed, replicate_index)
+
+        monkeypatch.setattr(bootstrap_mod, "resample_counts", counted)
+        return calls
+
+    def test_rr_then_rrr_draw_each_replicate_once(self, draws):
+        m = random_matrix(20, n=80, m=15, orientation="nonincreasing")
+        seed, B = SeedRecord(5).child(1), 200
+        rr_band(m, 0.1, B, seed)
+        rrr_band(m, RRRConfig(seed=seed, r=0.5, B=B))
+        sup_distribution(m, IndexSet(np.array([2, 3])), "plus", B, seed)
+        assert len(draws) == B
+        assert sorted(i for _, i in draws) == list(range(B))
+        # the worker count is not part of the key: it cannot change the bits
+        rr_band(m, 0.1, B, seed, workers=3)
+        assert len(draws) == B
+
+    @pytest.mark.parametrize("change", ["seed", "B", "matrix"])
+    def test_other_seed_b_or_matrix_draws_again(self, draws, change):
+        m = random_matrix(21, n=60, m=10, orientation="nonincreasing")
+        seed, B = SeedRecord(6), 128
+        rr_band(m, 0.1, B, seed)
+        assert len(draws) == B
+        if change == "seed":
+            rrr_band(m, RRRConfig(seed=seed.child(0), r=0.5, B=B))
+            assert len(draws) == 2 * B
+        elif change == "B":
+            rrr_band(m, RRRConfig(seed=seed, r=0.5, B=B + 64))
+            assert len(draws) == 2 * B + 64
+        else:
+            rrr_band(fresh_copy(m), RRRConfig(seed=seed, r=0.5, B=B))
+            assert len(draws) == 2 * B
+
+    def test_bands_match_reference_from_counts(self):
+        # a curve rising from 0 to 1, so the adjusted set is a proper subset
+        spec = GeneratorSpec(EQUICORRELATED, default_synthetic_grid(40), rho=0.2)
+        n = 400
+        m, _ = spec.realize(n, SeedRecord(22))
+        seed, B = SeedRecord(7).child(1), 300
+        cfg = RRRConfig(seed=seed, r=0.3, B=B)
+        rr = rr_band(m, 0.1, B, seed)
+        rrr = rrr_band(m, cfg)
+
+        g = reference_deviations(m, seed, B)
+        curve = empirical_risk(m).values
+        q_rr = conservative_quantile(np.sort((-g).max(axis=1)), 0.1)
+        assert rr.info["q_hat"] == q_rr
+        assert np.array_equal(rr.upper, np.clip(curve + q_rr / math.sqrt(n), 0.0, 1.0))
+        q_glob = conservative_quantile(np.sort(np.abs(g).max(axis=1)), cfg.delta_glob)
+        assert rrr.q_glob == q_glob
+
+        sublevel = np.flatnonzero(curve <= cfg.r)
+        adjusted = np.flatnonzero(curve <= cfg.r + 2.0 * q_glob / math.sqrt(n))
+        assert np.array_equal(rrr.sublevel.indices, sublevel)
+        assert np.array_equal(rrr.adjusted.indices, adjusted)
+        assert 0 < adjusted.size < m.m
+        g_loc = reference_deviations(m, seed, B, columns=adjusted)
+        q_loc = conservative_quantile(np.sort((-g_loc).max(axis=1)), cfg.delta_loc)
+        assert abs(rrr.q_loc - q_loc) <= 1e-12
+        assert np.allclose(rrr.band.upper, np.clip(curve + q_loc / math.sqrt(n), 0.0, 1.0),
+                           rtol=0, atol=1e-12)
+
+    def test_memory_does_not_grow_with_b_times_n(self):
+        # n much larger than m: B x n counts would be 16 MB, B x m deviations 0.1 MB
+        rng = np.random.default_rng(23)
+        n, m, B = 2000, 8, 1000
+        values = np.minimum.accumulate(rng.random((n, m)), axis=1)
+        matrix = LossMatrix(ParameterGrid.linspace(0.0, 1.0, m), values, "nonincreasing")
+        b_times_n = B * n * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = rrr_band(matrix, RRRConfig(seed=SeedRecord(8), r=0.5, B=B))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.q_loc > 0.0
+        assert kept - before < b_times_n / 10
+        assert peak - before < b_times_n / 3
+
+    def test_suggest_b_keeps_no_b_times_m_array(self, monkeypatch):
+        import riskbands.bootstrap as bootstrap_mod
+        monkeypatch.setattr(bootstrap_mod, "_B_CAP", 1024)
+        rng = np.random.default_rng(24)
+        n, m = 20, 2000
+        matrix = LossMatrix(ParameterGrid.linspace(0.0, 1.0, m), rng.random((n, m)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = suggest_b(matrix, 0.1, SeedRecord(9), initial_b=256, rel_tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.capped and result.B == 1024
+        assert peak - before < 1024 * m * 8 / 3
+
+    def test_concurrent_calls_on_one_matrix(self):
+        # threads sharing one matrix with different seeds each get their own
+        # replicates, whichever entry the matrix happens to keep
+        m = random_matrix(25, n=40, m=12, orientation="nonincreasing")
+        seeds = [SeedRecord(10 + i) for i in range(6)]
+        expected = [rr_band(fresh_copy(m), 0.1, 128, s).upper for s in seeds]
+        results = [None] * len(seeds)
+
+        def work(i):
+            for _ in range(5):
+                results[i] = rr_band(m, 0.1, 128, seeds[i]).upper
+                rrr_band(m, RRRConfig(seed=seeds[i], r=0.5, B=128))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(seeds))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, expected):
+            assert np.array_equal(got, want)

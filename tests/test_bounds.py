@@ -19,6 +19,16 @@ from riskbands import (
 from riskbands.bounds import _capital_rejects, _wsr_lambdas
 
 
+def oracle_lambdas(losses, delta):
+    """Straight-line betting fractions of one loss sequence."""
+    n = len(losses)
+    steps = np.arange(1, n + 1)
+    mu = (0.5 + np.cumsum(losses)) / (1 + steps)
+    s2 = (0.25 + np.cumsum((losses - mu) ** 2)) / (1 + steps)
+    s2_prev = np.concatenate([[0.25], s2[:-1]])
+    return np.minimum(1.0, np.sqrt(2 * np.log(1 / delta) / (n * s2_prev)))
+
+
 def wsr_oracle_scan(losses, delta):
     """Independent straight-line scan of the capital process on a p grid.
 
@@ -26,12 +36,7 @@ def wsr_oracle_scan(losses, delta):
     the bracket (valid because the rejection region is an up-set in p).
     """
     losses = np.asarray(losses, dtype=float)
-    n = len(losses)
-    steps = np.arange(1, n + 1)
-    mu = (0.5 + np.cumsum(losses)) / (1 + steps)
-    s2 = (0.25 + np.cumsum((losses - mu) ** 2)) / (1 + steps)
-    s2_prev = np.concatenate([[0.25], s2[:-1]])
-    lam = np.minimum(1.0, np.sqrt(2 * np.log(1 / delta) / (n * s2_prev)))
+    lam = oracle_lambdas(losses, delta)
 
     def rejected(p):
         return np.cumprod(1.0 - lam * (losses - p)).max() > 1.0 / delta
@@ -190,6 +195,17 @@ class TestWsrUpper:
 
 
 class TestWsrBand:
+    def test_lambdas_equal_straight_line_formula(self):
+        # the in-place columnwise computation keeps the arithmetic bit for bit
+        rng = np.random.default_rng(12)
+        for n, delta in ((1, 0.1), (2, 0.5), (40, 0.05), (300, 0.1)):
+            values = rng.random((n, 7))
+            values[:, 0] = 0.0
+            lam = _wsr_lambdas(values, delta)
+            for j in range(values.shape[1]):
+                assert np.array_equal(lam[:, j], oracle_lambdas(values[:, j], delta))
+            assert np.array_equal(_wsr_lambdas(values[:, 1], delta), lam[:, 1])
+
     def test_constant_one_matrix(self):
         g = ParameterGrid.linspace(0.0, 1.0, 3)
         m = LossMatrix(g, np.ones((10, 3)))

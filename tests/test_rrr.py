@@ -71,7 +71,8 @@ class TestRRRBand:
     def test_reproducible_with_same_seed(self):
         m = nonincreasing_matrix(4)
         a = rrr_band(m, config(9, r=0.4, B=256))
-        b = rrr_band(m, config(9, r=0.4, B=256))
+        # an equal-valued matrix of its own recomputes the replicates
+        b = rrr_band(nonincreasing_matrix(4), config(9, r=0.4, B=256))
         assert a.q_glob == b.q_glob and a.q_loc == b.q_loc
         assert np.array_equal(a.band.upper, b.band.upper)
         assert np.array_equal(a.sublevel.indices, b.sublevel.indices)
@@ -94,6 +95,16 @@ class TestRRRBand:
         dist = sup_distribution(m, None, "two-sided", cfg.B, cfg.seed)
         assert result.q_glob == quantile_upper(dist, cfg.delta_glob)
 
+    def test_clamped_quantile_is_noted(self):
+        m = nonincreasing_matrix(12, n=60, m=10)
+        # delta_glob 0.01 needs B >= 99; at B = 50 q_glob is the sample maximum
+        clamped = rrr_band(m, config(3, r=0.5, B=50, delta_glob=0.01))
+        assert "quantile-clamped" in clamped.band.notes
+        assert rrr_band(m, config(3, r=0.5, B=50, delta_glob=0.05)).band.notes == ()
+        # either budget can clamp
+        loc = rrr_band(m, config(3, r=0.5, B=50, delta_glob=0.05, delta_loc=0.01))
+        assert loc.band.notes == ("quantile-clamped",)
+
     def test_unconstrained_orientation_rejected(self):
         m = LossMatrix(ParameterGrid.linspace(0.0, 1.0, 4),
                        np.random.default_rng(0).random((10, 4)), "unconstrained")
@@ -107,9 +118,8 @@ class TestRRRBand:
             rrr_band(m, config())
 
     def test_bit_identical_serial_vs_parallel(self):
-        m = nonincreasing_matrix(7, n=60, m=10)
-        a = rrr_band(m, config(21, r=0.5, B=256), workers=1)
-        b = rrr_band(m, config(21, r=0.5, B=256), workers=4)
+        a = rrr_band(nonincreasing_matrix(7, n=60, m=10), config(21, r=0.5, B=256), workers=1)
+        b = rrr_band(nonincreasing_matrix(7, n=60, m=10), config(21, r=0.5, B=256), workers=4)
         assert np.array_equal(a.band.upper, b.band.upper)
         assert a.q_glob == b.q_glob and a.q_loc == b.q_loc
 
