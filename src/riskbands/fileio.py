@@ -8,6 +8,8 @@ per grid point (t, lower, upper, in_validity) with a JSON metadata sidecar.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 from pathlib import Path
 
@@ -35,34 +37,78 @@ def _parse_row(row: list[str], path, line: int) -> list[float]:
         raise ParseError(f"{path}:{line}: non-numeric cell ({exc})") from None
 
 
+# numpy's parser strips these as whitespace around a number, float() does
+# not; a file holding one goes to the row-by-row reader, which refuses it.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _numpy_table(text: str) -> np.ndarray | None:
+    """Every nonempty line of a numeric CSV's text as one float array.
+
+    Returns None when numpy cannot parse it; the row-by-row reader then
+    gives the same result or its line-numbered ``ParseError``. Both readers
+    see the same rows: a row is a nonempty line under any line ending, and
+    a cell is what ``float()`` accepts.
+    """
+    if any(c in text for c in _NUMPY_ONLY_SPACE):
+        return None
+    lines = [line for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if line]
+    if not lines:
+        return None
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+
+
+def _write_rows(path, header, rows) -> None:
+    """Rows of cells that need no quoting, written as ``csv.writer`` would."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(row) + "\r\n" for row in rows)
+
+
 def read_loss_matrix(path, orientation: str = UNCONSTRAINED) -> LossMatrix:
-    """Loss matrix CSV: header row of grid values, one data row per sample."""
+    """Loss matrix CSV: header row of grid values, one data row per sample.
+
+    The file is read once, so pipes and other one-shot inputs work; only an
+    undecodable file is opened again, for the row reader's own error.
+    """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+    try:
+        with path.open(newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        with path.open(newline="") as fh:
+            table = _read_loss_rows(path, fh)
+    else:
+        table = _numpy_table(text)
+        if table is None or table.shape[0] < 2:
+            table = _read_loss_rows(path, io.StringIO(text, newline=""))
+    try:
+        return LossMatrix(ParameterGrid(table[0]), table[1:], orientation)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _read_loss_rows(path: Path, lines) -> np.ndarray:
+    """Row-by-row parse of a loss matrix CSV that names the first bad line."""
+    rows = [row for row in csv.reader(lines) if row]
     if len(rows) < 2:
         raise ParseError(f"{path}: need a grid header row and at least one sample row")
     grid_values = _parse_row(rows[0], path, 1)
-    data = []
+    data = [grid_values]
     for i, row in enumerate(rows[1:], start=2):
         values = _parse_row(row, path, i)
         if len(values) != len(grid_values):
             raise ParseError(f"{path}:{i}: row has {len(values)} cells, expected {len(grid_values)}")
         data.append(values)
-    try:
-        return LossMatrix(ParameterGrid(grid_values), np.array(data), orientation)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    return np.array(data)
 
 
 def write_loss_matrix(matrix: LossMatrix, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_fmt(t) for t in matrix.grid.values)
-        for row in matrix.values:
-            writer.writerow(_fmt(x) for x in row)
+    _write_rows(path, map(repr, matrix.grid.values.tolist()),
+                (map(repr, row.tolist()) for row in matrix.values))
 
 
 def _read_numeric_table(path) -> np.ndarray:
@@ -99,15 +145,13 @@ def read_panel(scores_path, labels_path) -> BinaryScorePanel:
 def write_band(band: ConfidenceBand, path, sidecar_extra: dict | None = None) -> Path:
     """Band CSV plus a JSON sidecar next to it; returns the sidecar path."""
     path = Path(path)
-    mask = np.zeros(len(band.grid), dtype=bool)
-    mask[band.validity.indices] = True
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "lower", "upper", "in_validity"])
-        for j, t in enumerate(band.grid.values):
-            lower = _fmt(band.lower[j]) if band.lower is not None else ""
-            upper = _fmt(band.upper[j]) if band.upper is not None else ""
-            writer.writerow([_fmt(t), lower, upper, int(mask[j])])
+    mask = np.zeros(len(band.grid), dtype=int)
+    mask[band.validity.indices] = 1
+    absent = itertools.repeat("")
+    lower = map(repr, band.lower.tolist()) if band.lower is not None else absent
+    upper = map(repr, band.upper.tolist()) if band.upper is not None else absent
+    rows = zip(map(repr, band.grid.values.tolist()), lower, upper, map(str, mask.tolist()))
+    _write_rows(path, ("t", "lower", "upper", "in_validity"), rows)
     sidecar = path.with_suffix(path.suffix + ".json")
     payload = band.metadata()
     if sidecar_extra:
@@ -168,12 +212,7 @@ def read_band(path) -> ConfidenceBand:
 
 
 def write_sup_distribution(dist: BootstrapSupDistribution, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sup"])
-        for v in dist.sorted_values:
-            writer.writerow([_fmt(v)])
+    _write_rows(path, ("sup",), ((repr(v),) for v in dist.sorted_values.tolist()))
 
 
 _METRIC_COLUMNS = ("metric", "method", "family", "n", "runs", "estimate", "std_error")

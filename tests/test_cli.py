@@ -111,6 +111,14 @@ class TestExitCodes:
                      "--output", str(tmp_path / "o.csv"), "--method", "nasm"])
         assert code == 3
 
+    def test_ragged_loss_csv_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "ragged.csv"
+        bad.write_text("0.0,0.5,1.0\n0.1,0.2,0.3\n\n0.4,0.5\n")
+        code = main(["band", "--input", str(bad),
+                     "--output", str(tmp_path / "o.csv"), "--method", "nasm"])
+        assert code == 3
+        assert f"error[parse]: {bad}:3: row has 2 cells, expected 3" in capsys.readouterr().err
+
     def test_domain_error(self, tmp_path, matrix_csv):
         path, _ = matrix_csv
         code = main(["band", "--input", str(path),

@@ -1,9 +1,18 @@
+import contextlib
+import csv
+import dataclasses
+import io
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from riskbands import (
+    IndexSet,
     LossMatrix,
     ParameterGrid,
     SeedRecord,
@@ -12,6 +21,7 @@ from riskbands import (
     rr_band,
     sup_distribution,
 )
+from riskbands import fileio
 from riskbands.fileio import (
     ParseError,
     read_loss_matrix,
@@ -23,6 +33,202 @@ from riskbands.fileio import (
     write_sup_distribution,
 )
 from riskbands.harness import MetricsReport
+from riskbands.losses import UNCONSTRAINED
+
+
+def reference_read_loss_matrix(path, orientation=UNCONSTRAINED):
+    """The row-by-row reader that read_loss_matrix must agree with."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if len(rows) < 2:
+        raise ParseError(f"{path}: need a grid header row and at least one sample row")
+
+    def parse(row, line):
+        try:
+            return [float(cell) for cell in row]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{line}: non-numeric cell ({exc})") from None
+
+    grid_values = parse(rows[0], 1)
+    data = []
+    for i, row in enumerate(rows[1:], start=2):
+        values = parse(row, i)
+        if len(values) != len(grid_values):
+            raise ParseError(f"{path}:{i}: row has {len(values)} cells, expected {len(grid_values)}")
+        data.append(values)
+    try:
+        return LossMatrix(ParameterGrid(grid_values), np.array(data), orientation)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def outcome(read, path):
+    """('ok', arrays as bytes) or (error type, message), for exact comparison."""
+    try:
+        result = read(path)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, LossMatrix):
+        return "ok", result.grid.values.tobytes(), result.values.tobytes(), result.values.shape
+    return "ok", result.tobytes(), result.shape
+
+
+# Inputs numpy parses as the row reader does, inputs numpy refuses so that
+# the row reader answers, and inputs that parse and then fail a check.
+CSV_CASES = {
+    "plain": "0,0.5,1\n0.1,0.2,0.3\n0.4,0.5,0.6\n",
+    "blank-lines": "0,0.5,1\n\n0.1,0.2,0.3\n\n\n0.4,0.5,0.6\n",
+    "leading-blank": "\n\n0,0.5,1\n0.1,0.2,0.3\n",
+    "crlf": "0,0.5,1\r\n0.1,0.2,0.3\r\n0.4,0.5,0.6\r\n",
+    "cr-only": "0,0.5,1\r0.1,0.2,0.3\r",
+    "no-final-newline": "0,0.5,1\n0.1,0.2,0.3",
+    "spaced-cells": "0, 0.5 ,1\n 0.1,0.2 , 0.3\n",
+    "tab-padded": "0\t,\t0.5,1\n0.1\t,0.2,\t0.3\n",
+    "signs-and-dots": "0,.5,+1\n+0.5,.25,0.\n",
+    "exponents": "0,1e-3,1E0\n5e-324,2.5e-1,1e-308\n",
+    "one-column": "0.5\n0.25\n1\n",
+    "one-row": "0,0.5,1\n",
+    "empty": "",
+    "blank-only": "\n\n\n",
+    "whitespace-line": "0,0.5,1\n   \n0.1,0.2,0.3\n",
+    "trailing-comma": "0,0.5,1\n0.1,0.2,0.3,\n",
+    "ragged": "0,0.5,1\n0.1,0.2\n",
+    "ragged-wide": "0,0.5\n0.1,0.2\n0.1,0.2,0.3\n",
+    "quoted-cells": '"0","0.5",1\n0.1,"0.2",0.3\n',
+    "quoted-comma": '0,0.5,1\n"0.1,0.2",0.3\n',
+    "hash-text": "0,0.5,1\n0.1,0.2,0.3 # note\n",
+    "hash-row": "# grid\n0,0.5,1\n0.1,0.2,0.3\n",
+    "underscore-digits": "0,1_0,2_0\n0.1,0.2,0.3\n",
+    "word": "0,0.5,1\n0.1,zebra,0.3\n",
+    "separator-char": "0,0.5,1\n0.1,0.2\x1c,0.3\n",
+    "form-feed-inside-cell": "0,0.5\n0.1,0.2\x0c0.3,0.4\n",
+    "nan": "0,0.5,1\n0.1,nan,0.3\n",
+    "inf": "0,0.5,1\n0.1,inf,0.3\n",
+    "grid-not-increasing": "0,1,0.5\n0.1,0.2,0.3\n",
+    "out-of-range": "0,0.5,1\n0.1,1.5,0.3\n",
+    "label-row": "a,b,c\n0.1,0.2,0.3\n0.4,0.5,0.6\n",
+    "label-only": "a,b,c\n",
+    "blank-then-label": "\n a ,b,c\n0.1,0.2,0.3\n",
+    "quoted-label": '"a,b",c\n0.1,0.2\n',
+    "quoted-numeric-first-row": '"0.1",0.2\n0.3,0.4\n',
+    "multiline-quoted-label": '"a\nb",c\n0.1,0.2\n',
+    "label-then-ragged": "a,b\n0.1,0.2\n0.3\n",
+}
+
+
+@contextlib.contextmanager
+def one_shot_pipe(path, data):
+    """A named pipe at ``path`` that yields ``data`` to its first reader and
+    nothing to later ones, as ``/dev/stdin`` or ``<(cmd)`` do."""
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def serve():
+        payload = data
+        while not done.is_set():
+            with open(path, "wb") as fh:  # blocks until a reader opens the pipe
+                fh.write(payload)
+            payload = b""
+
+    writer = threading.Thread(target=serve, daemon=True)
+    writer.start()
+    try:
+        yield path
+    finally:
+        done.set()
+        while writer.is_alive():
+            os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))  # wakes a waiting writer
+            writer.join(0.01)
+
+
+class TestNumpyFirstReader:
+    @pytest.mark.parametrize("name", sorted(CSV_CASES))
+    def test_loss_matrix_agrees_with_row_reader(self, tmp_path, name):
+        path = tmp_path / "loss.csv"
+        path.write_bytes(CSV_CASES[name].encode())
+        assert outcome(read_loss_matrix, path) == outcome(reference_read_loss_matrix, path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("name", ["plain", "crlf", "quoted-cells", "underscore-digits",
+                                      "ragged", "word", "one-row"])
+    def test_pipe_is_read_once(self, tmp_path, name):
+        path = tmp_path / "loss.csv"
+        path.write_bytes(CSV_CASES[name].encode())
+        expected = outcome(reference_read_loss_matrix, path)
+        path.unlink()
+        with one_shot_pipe(path, CSV_CASES[name].encode()):
+            assert outcome(read_loss_matrix, path) == expected
+
+    def test_undecodable_bytes_fail_as_before(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        path.write_bytes(b"0,0.5\n0.1,0.2\n\xff0.3,0.4\n")
+        assert outcome(read_loss_matrix, path) == outcome(reference_read_loss_matrix, path)
+        assert outcome(read_loss_matrix, path)[0] == "UnicodeDecodeError"
+
+    def test_clean_file_skips_the_row_reader(self, tmp_path, monkeypatch):
+        grid = ParameterGrid.linspace(-3.0, 3.0, 1000)
+        values = np.round(np.random.default_rng(0).random((50, 1000)) * 5) / 5
+        path = tmp_path / "loss.csv"
+        write_loss_matrix(LossMatrix(grid, values), path)
+
+        def refuse(*args):
+            raise AssertionError("clean file parsed row by row")
+
+        monkeypatch.setattr(fileio, "_parse_row", refuse)
+        back = read_loss_matrix(path)
+        assert np.array_equal(back.values, values)
+        assert np.array_equal(back.grid.values, grid.values)
+
+
+def reference_csv_bytes(rows):
+    """What csv.writer writes for rows of floats formatted with repr."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    for row in rows:
+        writer.writerow([repr(float(x)) if isinstance(x, float) else x for x in row])
+    return buf.getvalue().encode()
+
+
+unit_floats = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+class TestWriterBytes:
+    @given(st.lists(st.lists(unit_floats, min_size=3, max_size=3), min_size=1, max_size=6))
+    @example([[5e-324, 2.2250738585072014e-308, 1 - 2**-53]])
+    @example([[2.2250738585072009e-308, 1e-320, 0.1]])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_loss_matrix_round_trip(self, tmp_path, rows):
+        grid = ParameterGrid(np.array([0.0, 0.5, 1.0]))
+        values = np.array(rows)
+        path = tmp_path / "loss.csv"
+        write_loss_matrix(LossMatrix(grid, values), path)
+        assert path.read_bytes() == reference_csv_bytes([grid.values.tolist(), *values.tolist()])
+        back = read_loss_matrix(path)
+        assert back.values.tobytes() == values.tobytes()
+        assert back.grid.values.tobytes() == grid.values.tobytes()
+
+    @pytest.mark.parametrize("side", ["upper", "lower", "two-sided"])
+    def test_band_bytes(self, tmp_path, side):
+        band = nasm_band(empirical_risk(toy_matrix()), 0.1, side=side)
+        band = dataclasses.replace(band, validity=IndexSet.from_mask(np.array([1, 0, 1, 1], bool)))
+        path = tmp_path / "band.csv"
+        write_band(band, path)
+        mask = np.zeros(len(band.grid), dtype=bool)
+        mask[band.validity.indices] = True
+        rows = [["t", "lower", "upper", "in_validity"]]
+        for j, t in enumerate(band.grid.values.tolist()):
+            lower = repr(float(band.lower[j])) if band.lower is not None else ""
+            upper = repr(float(band.upper[j])) if band.upper is not None else ""
+            rows.append([t, lower, upper, int(mask[j])])
+        assert path.read_bytes() == reference_csv_bytes(rows)
+
+    def test_sup_distribution_bytes(self, tmp_path):
+        dist = sup_distribution(toy_matrix(), None, "minus", 32, SeedRecord(1))
+        path = tmp_path / "sups.csv"
+        write_sup_distribution(dist, path)
+        rows = [["sup"], *([v] for v in dist.sorted_values.tolist())]
+        assert path.read_bytes() == reference_csv_bytes(rows)
 
 
 def toy_matrix():

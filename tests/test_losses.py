@@ -13,6 +13,8 @@ from riskbands import (
     threshold_losses,
     validate,
 )
+from riskbands import losses
+from riskbands.losses import ValidationReport
 
 
 def grid(*values):
@@ -83,6 +85,94 @@ class TestValidate:
         m = LossMatrix(grid(0.0, 1.0), [[0.5, 0.5 + 1e-12]], "nonincreasing")
         assert not validate(m).passed
         assert validate(m, tolerance=1e-9).passed
+
+
+def reference_validate(matrix, tolerance=0.0):
+    """Whole-matrix validate that the row-blocked one must agree with."""
+    v = matrix.values
+    bad = (v < 0.0) | (v > 1.0)
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        return ValidationReport(False, "bounds", int(r), int(c), f"entry ({r},{c}) outside [0,1]")
+    if matrix.orientation == "unconstrained" or matrix.m == 1:
+        return ValidationReport(True)
+    diffs = np.diff(v, axis=1)
+    bad = diffs > tolerance if matrix.orientation == "nonincreasing" else diffs < -tolerance
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        return ValidationReport(False, "orientation", int(r), int(c) + 1,
+                                f"row {r} violates {matrix.orientation} at column {c + 1}")
+    return ValidationReport(True)
+
+
+def with_values(matrix, values):
+    """The matrix holding values its constructor would refuse (out of [0, 1])."""
+    object.__setattr__(matrix, "values", values)
+    return matrix
+
+
+class TestRowBlockedValidate:
+    block = losses._ROW_BLOCK
+
+    def nondecreasing(self, n, m=6):
+        return np.tile(np.linspace(0.1, 0.9, m), (n, 1))
+
+    @pytest.mark.parametrize("rows", [
+        [(0, 3)],
+        [("last", 1)],
+        [("block", 2)],
+        [("block-1", 5), ("block", 1)],
+        [("block", 4), ("block+1", 1)],
+        [("2block", 5)],
+    ])
+    def test_first_violation_across_blocks(self, rows):
+        n = 2 * self.block + 3
+        values = self.nondecreasing(n)
+        at = {"last": n - 1, "block": self.block, "block-1": self.block - 1,
+              "block+1": self.block + 1, "2block": 2 * self.block}
+        for row, col in rows:
+            r = at.get(row, row)
+            values[r, col] = values[r, col - 1] - 0.05
+        m = LossMatrix(ParameterGrid.linspace(0.0, 1.0, 6), values, "nondecreasing")
+        report = validate(m)
+        assert report == reference_validate(m)
+        r0, c0 = rows[0]
+        assert (report.first_row, report.first_col) == (at.get(r0, r0), c0)
+
+    def test_late_bounds_violation_reported_before_orientation_in_row_zero(self):
+        n = 2 * self.block + 3
+        values = self.nondecreasing(n)
+        values[0, 2] = 0.0  # orientation violation in row 0
+        values[n - 2, 4] = 1.25  # bounds violation in a later block
+        m = LossMatrix(ParameterGrid.linspace(0.0, 1.0, 6), values.clip(0, 1), "nondecreasing")
+        m = with_values(m, values)
+        report = validate(m)
+        assert report == reference_validate(m)
+        assert (report.kind, report.first_row, report.first_col) == ("bounds", n - 2, 4)
+
+    def test_negative_entry_is_a_bounds_violation(self):
+        values = self.nondecreasing(self.block + 1)
+        values[self.block, 0] = -0.5
+        m = with_values(LossMatrix(ParameterGrid.linspace(0.0, 1.0, 6), values.clip(0, 1)), values)
+        assert validate(m) == reference_validate(m)
+        assert validate(m).kind == "bounds"
+
+    @pytest.mark.parametrize("orientation", ["nonincreasing", "nondecreasing"])
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-9, 1e-3])
+    def test_tolerance_across_blocks(self, orientation, tolerance):
+        n = self.block + 5
+        rng = np.random.default_rng(3)
+        values = np.sort(rng.random((n, 8)), axis=1)
+        if orientation == "nonincreasing":
+            values = values[:, ::-1].copy()
+        step = 1 if orientation == "nondecreasing" else -1
+        values[self.block - 1, 3] = values[self.block - 1, 2] - step * 5e-10  # within 1e-9
+        values[self.block + 2, 6] = values[self.block + 2, 5] - step * 5e-4  # within 1e-3
+        m = LossMatrix(ParameterGrid.linspace(0.0, 1.0, 8), values, orientation)
+        report = validate(m, tolerance=tolerance)
+        assert report == reference_validate(m, tolerance=tolerance)
+        expected = {0.0: (self.block - 1, 3), 1e-9: (self.block + 2, 6), 1e-3: (None, None)}
+        assert (report.first_row, report.first_col) == expected[tolerance]
 
 
 class TestThresholdLosses:
