@@ -35,7 +35,6 @@ from .empirical import (
     RiskCurve,
     empirical_risk,
     sublevel_set,
-    sup_deviation,
 )
 from .harness import (
     GeneratorSpec,
@@ -44,12 +43,10 @@ from .harness import (
     conservatism,
     default_classification_grid,
     default_synthetic_grid,
-    gen_equicorrelated,
     miscoverage_anywhere,
     miscoverage_selected,
     oracle_sup_quantile,
     run_metrics,
-    split_surrogate,
     surrogate_generator,
 )
 from .losses import (
@@ -92,7 +89,6 @@ __all__ = [
     "default_classification_grid",
     "default_synthetic_grid",
     "empirical_risk",
-    "gen_equicorrelated",
     "miscoverage_anywhere",
     "miscoverage_selected",
     "monotonize",
@@ -108,10 +104,8 @@ __all__ = [
     "select_elbow",
     "select_even_tradeoff",
     "selective_ratio_upper",
-    "split_surrogate",
     "sublevel_set",
     "suggest_b",
-    "sup_deviation",
     "sup_distribution",
     "surrogate_generator",
     "tail_bound",

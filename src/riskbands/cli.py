@@ -2,14 +2,15 @@
 
 Subcommands:
 
-- ``band``       compute a confidence band for a loss matrix CSV
+- ``band``       compute a ``MethodSpec`` band for a loss matrix CSV
 - ``select``     pick a threshold trading off two empirical risks
 - ``suggest-b``  recommend a bootstrap replicate count
 - ``simulate``   Monte Carlo metrics for one synthetic configuration; a
                  one-entry ``eval``
 - ``eval``       run a JSON experiment descriptor (methods x sample sizes x
                  metrics), run-major: each run is realized once and each
-                 method's band built once, shared by every metric
+                 method's band built once, shared by every metric; method
+                 entries hold ``MethodSpec`` fields only
 - ``compose``    combine component bands through a named map
 - ``dump-sups``  dump the sorted bootstrap supremum distribution
 
@@ -26,18 +27,19 @@ import os
 import secrets
 import sys
 import time
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio
-from .bootstrap import SeedRecord, rr_band, suggest_b, sup_distribution
-from .bounds import nasm_band, wsr_band
+from .bootstrap import SeedRecord, suggest_b, sup_distribution
 from .compose import combine, selective_ratio_upper
 from .empirical import empirical_risk, sublevel_set
 from .harness import (
     CONSTANT,
     EQUICORRELATED,
+    METHOD_NAMES,
     GeneratorSpec,
     MethodSpec,
     default_classification_grid,
@@ -46,7 +48,6 @@ from .harness import (
     surrogate_generator,
 )
 from .losses import ORIENTATIONS, UNCONSTRAINED, ParameterGrid, threshold_losses
-from .rrr import RRRConfig, rrr_band
 from .selection import select_elbow, select_even_tradeoff
 
 EXIT_OK = 0
@@ -73,13 +74,19 @@ def _write_sidecar(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+_METHOD_PARAMS = tuple(f.name for f in fields(MethodSpec))[1:]  # each a --flag
+
+
 def _add_method_args(parser) -> None:
-    parser.add_argument("--method", required=True, choices=("nasm", "rr", "rrr", "pointwise"))
-    parser.add_argument("--delta", type=float, default=0.1)
-    parser.add_argument("--B", type=int, default=1000)
-    parser.add_argument("--r", type=float, default=0.1)
-    parser.add_argument("--delta-glob", dest="delta_glob", type=float, default=0.01)
-    parser.add_argument("--delta-loc", dest="delta_loc", type=float, default=0.09)
+    parser.add_argument("--method", required=True, choices=METHOD_NAMES)
+    for name in _METHOD_PARAMS:
+        default = getattr(MethodSpec, name)
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=type(default),
+                            default=default)
+
+
+def _method_spec(args) -> MethodSpec:
+    return MethodSpec(args.method, **{name: getattr(args, name) for name in _METHOD_PARAMS})
 
 
 def _add_common(parser) -> None:
@@ -92,6 +99,7 @@ def _add_common(parser) -> None:
 def cmd_band(args) -> int:
     matrix = fileio.read_loss_matrix(args.input, orientation=args.orientation)
     seed = _resolve_seed(args.seed)
+    band = _method_spec(args).band(matrix, seed, side=args.side, workers=args.workers)
     out = Path(args.output)
     extra = {
         "command": "band",
@@ -100,26 +108,6 @@ def cmd_band(args) -> int:
         "seed": seed.as_dict(),
         "side": args.side,
     }
-    if args.method == "nasm":
-        band = nasm_band(empirical_risk(matrix), args.delta, side=args.side)
-    elif args.method == "rr":
-        band = rr_band(matrix, args.delta, args.B, seed, side=args.side,
-                       workers=args.workers)
-    elif args.method == "rrr":
-        cfg = RRRConfig(seed=seed, r=args.r, delta_glob=args.delta_glob,
-                        delta_loc=args.delta_loc, B=args.B)
-        result = rrr_band(matrix, cfg, workers=args.workers)
-        band = result.band
-        extra.update({
-            "q_glob": result.q_glob,
-            "q_loc": result.q_loc,
-            "r": result.r,
-            "r_adjusted": result.r_adjusted,
-            "sublevel_indices": result.sublevel.indices.tolist(),
-            "adjusted_indices": result.adjusted.indices.tolist(),
-        })
-    else:
-        band = wsr_band(matrix, args.delta)
     sidecar = fileio.write_band(band, out, sidecar_extra=extra)
     print(f"band written to {out} (sidecar {sidecar})")
     return EXIT_OK
@@ -208,6 +196,13 @@ def _generator_from_config(cfg: dict) -> GeneratorSpec:
     raise ValueError(f"unknown generator family {family!r}")
 
 
+def _method_from_entry(entry: dict, r: float) -> MethodSpec:
+    unknown = sorted(set(entry) - {"name", *_METHOD_PARAMS})
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} in method entry {entry}")
+    return MethodSpec(**{"r": r, **entry})
+
+
 def _run_experiment(desc: dict, seed: SeedRecord, workers: int, prefix: Path,
                     header: dict) -> list:
     """Run a descriptor and write its metrics CSV/JSON (and trace) at ``prefix``.
@@ -222,12 +217,9 @@ def _run_experiment(desc: dict, seed: SeedRecord, workers: int, prefix: Path,
     if isinstance(n_list, int):
         n_list = [n_list]
     metrics = desc.get("metrics", ["anywhere"])
-    r = float(desc.get("r", 0.1))
+    r = float(desc.get("r", MethodSpec.r))
     scheme = desc.get("scheme", "even-tradeoff")
-    methods = [MethodSpec(name=mc["name"], delta=mc.get("delta", 0.1), B=mc.get("B", 1000),
-                          r=mc.get("r", r), delta_glob=mc.get("delta_glob", 0.01),
-                          delta_loc=mc.get("delta_loc", 0.09))
-               for mc in desc.get("methods", [{"name": "rr"}])]
+    methods = [_method_from_entry(mc, r) for mc in desc.get("methods", [{"name": "rr"}])]
 
     by_n = []
     for n in n_list:
@@ -261,8 +253,7 @@ def cmd_simulate(args) -> int:
                            "size": args.grid_size}
     desc = {"generator": gen_cfg, "n": [args.n], "runs": args.runs, "r": args.r,
             "scheme": args.scheme, "metrics": [m.strip() for m in args.metric.split(",")],
-            "methods": [{"name": args.method, "delta": args.delta, "B": args.B,
-                         "delta_glob": args.delta_glob, "delta_loc": args.delta_loc}]}
+            "methods": [asdict(_method_spec(args))]}
     reports = _run_experiment(desc, seed, args.workers, Path(args.output_prefix), header={
         "command": "simulate",
         "seed": seed.as_dict(),

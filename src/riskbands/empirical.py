@@ -1,4 +1,4 @@
-"""Empirical risk curves, rescaled supremum deviations, and sublevel sets."""
+"""Empirical risk curves, grid index sets, and sublevel sets."""
 
 from __future__ import annotations
 
@@ -89,49 +89,6 @@ def empirical_risk(matrix: LossMatrix) -> RiskCurve:
     values = matrix.values.mean(axis=0)
     # means of in-range entries are in range; clip strips float dust only
     return RiskCurve(matrix.grid, np.clip(values, 0.0, 1.0), matrix.n)
-
-
-def _resolve_scale(a: RiskCurve, b: RiskCurve, n: int | None) -> int:
-    if n is not None:
-        n = int(n)
-        if n < 1:
-            raise ValueError("scale sample size must be >= 1")
-        return n
-    sizes = {s for s in (a.sample_size, b.sample_size) if s > 0}
-    if len(sizes) == 1:
-        return sizes.pop()
-    if not sizes:
-        raise ValueError("sqrt(n) scaling undefined: both curves are analytic (sample_size 0)")
-    raise ValueError("ambiguous sqrt(n) scale: curves carry different sample sizes; pass n")
-
-
-def sup_deviation(
-    a: RiskCurve,
-    b: RiskCurve,
-    subset: IndexSet | None = None,
-    sign: str = "plus",
-    n: int | None = None,
-) -> float:
-    """Supremum over a grid subset of +/- sqrt(n) * (a(t) - b(t)).
-
-    The scale n defaults to the unique positive sample size carried by the
-    curves. An empty subset returns 0 (the neutral element; downstream bands
-    then degenerate to the empirical curve on an empty validity set).
-    """
-    if a.grid != b.grid:
-        raise ValueError("curves must share a grid")
-    if sign not in ("plus", "minus"):
-        raise ValueError("sign must be 'plus' or 'minus'")
-    scale = np.sqrt(_resolve_scale(a, b, n))
-    if subset is None:
-        subset = IndexSet.full(a.grid)
-    subset.check_against(a.grid)
-    if subset.is_empty:
-        return 0.0
-    d = a.values[subset.indices] - b.values[subset.indices]
-    if sign == "minus":
-        d = -d
-    return float(scale * d.max())
 
 
 def sublevel_set(curve: RiskCurve, r: float) -> IndexSet:

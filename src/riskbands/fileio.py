@@ -37,6 +37,16 @@ def _parse_row(row: list[str], path, line: int) -> list[float]:
         raise ParseError(f"{path}:{line}: non-numeric cell ({exc})") from None
 
 
+def _csv_rows(lines):
+    """(line, row) for each nonempty CSV row, numbered by the file line it starts on."""
+    reader = csv.reader(lines)
+    start = 1
+    for row in reader:
+        if row:
+            yield start, row
+        start = reader.line_num + 1
+
+
 # numpy's parser strips these as whitespace around a number, float() does
 # not; a file holding one goes to the row-by-row reader, which refuses it.
 _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
@@ -93,12 +103,12 @@ def read_loss_matrix(path, orientation: str = UNCONSTRAINED) -> LossMatrix:
 
 def _read_loss_rows(path: Path, lines) -> np.ndarray:
     """Row-by-row parse of a loss matrix CSV that names the first bad line."""
-    rows = [row for row in csv.reader(lines) if row]
+    rows = list(_csv_rows(lines))
     if len(rows) < 2:
         raise ParseError(f"{path}: need a grid header row and at least one sample row")
-    grid_values = _parse_row(rows[0], path, 1)
+    grid_values = _parse_row(rows[0][1], path, rows[0][0])
     data = [grid_values]
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows[1:]:
         values = _parse_row(row, path, i)
         if len(values) != len(grid_values):
             raise ParseError(f"{path}:{i}: row has {len(values)} cells, expected {len(grid_values)}")
@@ -115,17 +125,16 @@ def _read_numeric_table(path) -> np.ndarray:
     """Headerless numeric CSV; a leading non-numeric row is skipped."""
     path = Path(path)
     with path.open(newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        rows = list(_csv_rows(fh))
     if not rows:
         raise ParseError(f"{path}: empty file")
-    start = 0
     try:
-        [float(c) for c in rows[0]]
+        [float(c) for c in rows[0][1]]
     except ValueError:
-        start = 1
-    if start >= len(rows):
+        rows = rows[1:]
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-    data = [_parse_row(row, path, i) for i, row in enumerate(rows[start:], start=start + 1)]
+    data = [_parse_row(row, path, i) for i, row in rows]
     widths = {len(r) for r in data}
     if len(widths) != 1:
         raise ParseError(f"{path}: ragged rows (widths {sorted(widths)})")

@@ -141,22 +141,6 @@ class GeneratorSpec:
         return primary, LossMatrix(self.grid, companion, NONINCREASING), truth
 
 
-def gen_equicorrelated(
-    n: int,
-    rho: float,
-    grid: ParameterGrid | None = None,
-    seed: SeedRecord | int = 0,
-) -> LossMatrix:
-    """One synthetic loss matrix whose population risk is the normal CDF."""
-    if grid is None:
-        grid = default_synthetic_grid()
-    if isinstance(seed, int):
-        seed = SeedRecord(seed)
-    spec = GeneratorSpec(EQUICORRELATED, grid, rho=rho)
-    matrix, _ = spec.realize(n, seed)
-    return matrix
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     """One Monte Carlo estimate with its standard error and configuration."""
@@ -187,7 +171,7 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A named upper-band method with its parameters."""
+    """A band method's name and parameters; the one map from them to a band."""
 
     name: str
     delta: float = 0.1
@@ -200,16 +184,23 @@ class MethodSpec:
         if self.name not in METHOD_NAMES:
             raise ValueError(f"method must be one of {METHOD_NAMES}")
 
-    def upper_band(self, matrix: LossMatrix, seed: SeedRecord, workers: int = 1) -> ConfidenceBand:
+    def band(self, matrix: LossMatrix, seed: SeedRecord, side: str = "upper",
+             workers: int = 1) -> ConfidenceBand:
+        """The method's band on ``matrix``; rrr and pointwise are upper-only."""
+        if side != "upper" and self.name in ("rrr", "pointwise"):
+            raise ValueError(f"{self.name} builds upper bands only, not side {side!r}")
         if self.name == "nasm":
-            return nasm_band(empirical_risk(matrix), self.delta, side="upper")
+            return nasm_band(empirical_risk(matrix), self.delta, side=side)
         if self.name == "rr":
-            return rr_band(matrix, self.delta, self.B, seed, side="upper", workers=workers)
+            return rr_band(matrix, self.delta, self.B, seed, side=side, workers=workers)
         if self.name == "rrr":
             cfg = RRRConfig(seed=seed, r=self.r, delta_glob=self.delta_glob,
                             delta_loc=self.delta_loc, B=self.B)
             return rrr_band(matrix, cfg, workers=workers).band
         return wsr_band(matrix, self.delta)
+
+    def upper_band(self, matrix: LossMatrix, seed: SeedRecord, workers: int = 1) -> ConfidenceBand:
+        return self.band(matrix, seed, workers=workers)
 
     def miscovers(
         self,
@@ -219,15 +210,13 @@ class MethodSpec:
         restrict: np.ndarray | None = None,
         workers: int = 1,
     ) -> bool:
-        """Whether the truth exceeds the upper band anywhere on validity.
-
-        ``restrict`` optionally intersects the validity set with extra grid
-        indices (e.g. a selected set). The betting method skips the bisection
-        and tests the capital process at the truth directly, which decides
-        the same event.
-        """
+        """Whether the truth exceeds the upper band somewhere on validity, or
+        on its intersection with the grid indices ``restrict`` when given."""
         band = None if self.name == "pointwise" else self.upper_band(matrix, seed, workers=workers)
-        return _miscovered(self, matrix, truth, band, restrict)
+        exceeds = _exceedance(self, matrix, truth, band)
+        if restrict is not None:
+            exceeds = exceeds[np.asarray(restrict, dtype=np.int64)]
+        return bool(exceeds.any())
 
     def config_echo(self) -> dict:
         echo = {"method": self.name, "delta": self.delta}
@@ -286,24 +275,15 @@ def oracle_sup_quantile(
     return conservative_quantile(sups, delta)
 
 
-def _miscovered(method: MethodSpec, matrix: LossMatrix, truth: np.ndarray,
-                band: ConfidenceBand | None, restrict: np.ndarray | None) -> bool:
-    # the event of MethodSpec.miscovers, given the band it would build
+def _exceedance(method: MethodSpec, matrix: LossMatrix, truth: np.ndarray,
+                band: ConfidenceBand | None) -> np.ndarray:
+    # per grid point: truth above the band on validity (pointwise: the betting test)
     if method.name == "pointwise":
-        if restrict is None:
-            return bool(wsr_rejects(matrix, truth, method.delta).any())
-        idx = np.asarray(restrict)
-        if idx.size == 0:
-            return False
-        sub = LossMatrix(ParameterGrid(matrix.grid.values[idx]),
-                         matrix.values[:, idx], "unconstrained")
-        return bool(wsr_rejects(sub, truth[idx], method.delta).any())
+        return wsr_rejects(matrix, truth, method.delta)
     idx = band.validity.indices
-    if restrict is not None:
-        idx = np.intersect1d(idx, restrict)
-    if idx.size == 0:
-        return False
-    return bool((truth[idx] > band.upper[idx]).any())
+    exceeds = np.zeros(matrix.m, dtype=bool)
+    exceeds[idx] = truth[idx] > band.upper[idx]
+    return exceeds
 
 
 def _cell_report(metric: str, values: np.ndarray, config: dict, r: float,
@@ -388,10 +368,13 @@ def run_metrics(
             band = None
             if chosen is not None or (needs_band and method.name != "pointwise"):
                 band = method.upper_band(matrix, run_seed.child(1))
+            if needs_band:
+                exceeds = _exceedance(method, matrix, truth, band)
             for metric, cell in zip(metrics, cells):
-                if metric != "conservatism":
-                    restrict = selected.indices if metric == "selected" else None
-                    cell[run] = _miscovered(method, matrix, truth, band, restrict)
+                if metric == "anywhere":
+                    cell[run] = exceeds.any()
+                elif metric == "selected":
+                    cell[run] = exceeds[selected.indices].any()
                 elif chosen is not None and chosen.index in band.validity.indices:
                     cell[run] = band.upper[chosen.index] - truth[chosen.index]
 
@@ -466,24 +449,6 @@ def conservatism(
                      scheme=scheme, workers=workers)
 
 
-def split_surrogate(matrix: LossMatrix, seed: SeedRecord | int) -> tuple[LossMatrix, LossMatrix]:
-    """Random half/half row split into (holdout, sampling) matrices.
-
-    The holdout empirical curve serves as surrogate truth; evaluation then
-    resamples from the sampling half. Deterministic in the seed.
-    """
-    if isinstance(seed, int):
-        seed = SeedRecord(seed)
-    n = matrix.n
-    if n < 2:
-        raise ValueError("need at least two rows to split")
-    perm = seed.generator().permutation(n)
-    half = n // 2
-    holdout = LossMatrix(matrix.grid, matrix.values[perm[:half]], matrix.orientation)
-    sampling = LossMatrix(matrix.grid, matrix.values[perm[half:]], matrix.orientation)
-    return holdout, sampling
-
-
 def surrogate_generator(
     base: LossMatrix,
     companion: LossMatrix | None = None,
@@ -500,6 +465,8 @@ def surrogate_generator(
     classification loss) enables the tradeoff-selection metrics; the same
     split and the same resampled row indices are applied to both.
     """
+    if base.n < 2:
+        raise ValueError("a surrogate base needs at least two rows to split")
     if companion is not None and companion.n != base.n:
         raise ValueError("companion must cover the same rows as the base matrix")
 

@@ -129,6 +129,8 @@ def _local_pass(
             "q_glob": q_glob,
             "q_loc": q_loc,
             "seed": config.seed.as_dict(),
+            "sublevel_indices": sub_set.indices.tolist(),
+            "adjusted_indices": adjusted.indices.tolist(),
         },
     )
     return RRRResult(band, q_glob, q_loc, sub_set, adjusted, config.r, r_adjusted)

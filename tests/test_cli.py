@@ -10,15 +10,17 @@ import pytest
 import riskbands
 
 from riskbands import (
+    GeneratorSpec,
     LossMatrix,
+    MethodSpec,
     ParameterGrid,
     SeedRecord,
     empirical_risk,
-    gen_equicorrelated,
     nasm_width,
 )
 from riskbands.cli import main
-from riskbands.fileio import write_loss_matrix
+from riskbands.fileio import read_loss_matrix, write_band, write_loss_matrix
+from riskbands.harness import EQUICORRELATED, METHOD_NAMES
 
 
 @pytest.fixture()
@@ -97,6 +99,49 @@ class TestBandCommand:
                   "--method", "rr", "--B", "128", "--seed", "11"])
         assert out1.read_text() == out2.read_text()
 
+    @pytest.mark.parametrize("method,side", [("rrr", "lower"), ("pointwise", "two-sided")])
+    def test_upper_only_methods_refuse_other_sides(self, tmp_path, capsys, method, side):
+        rng = np.random.default_rng(2)
+        matrix = LossMatrix(ParameterGrid.linspace(0.0, 1.0, 8),
+                            np.maximum.accumulate(rng.random((40, 8)), axis=1), "nondecreasing")
+        path = tmp_path / "mono.csv"
+        write_loss_matrix(matrix, path)
+        out = tmp_path / "band.csv"
+        code = main(["band", "--input", str(path), "--output", str(out), "--method", method,
+                     "--orientation", "nondecreasing", "--side", side, "--B", "32",
+                     "--seed", "1"])
+        assert code == 5
+        assert "error[domain]" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestBandMatchesLibrary:
+    """``riskbands band`` writes what ``write_band(MethodSpec(...).band(...))`` writes."""
+
+    CASES = [(name, side) for name in METHOD_NAMES
+             for side in (("upper", "lower", "two-sided")
+                          if name in ("nasm", "rr") else ("upper",))]
+
+    @pytest.mark.parametrize("name,side", CASES)
+    def test_same_bytes(self, tmp_path, capsys, name, side):
+        rng = np.random.default_rng(3)
+        matrix = LossMatrix(ParameterGrid.linspace(0.0, 1.0, 12),
+                            np.maximum.accumulate(rng.random((80, 12)), axis=1), "nondecreasing")
+        path = tmp_path / "mono.csv"
+        write_loss_matrix(matrix, path)
+        cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "lib.csv"
+        assert main(["band", "--input", str(path), "--output", str(cli_out),
+                     "--method", name, "--orientation", "nondecreasing", "--side", side,
+                     "--B", "64", "--r", "0.4", "--delta", "0.2", "--seed", "9"]) == 0
+        seed = SeedRecord(9)
+        band = MethodSpec(name, delta=0.2, B=64, r=0.4).band(
+            read_loss_matrix(path, "nondecreasing"), seed, side=side)
+        write_band(band, lib_out, sidecar_extra={
+            "command": "band", "input": str(path), "orientation": "nondecreasing",
+            "seed": seed.as_dict(), "side": side})
+        assert cli_out.read_bytes() == lib_out.read_bytes()
+        assert (tmp_path / "cli.csv.json").read_bytes() == (tmp_path / "lib.csv.json").read_bytes()
+
 
 class TestExitCodes:
     def test_missing_file(self, tmp_path):
@@ -117,7 +162,7 @@ class TestExitCodes:
         code = main(["band", "--input", str(bad),
                      "--output", str(tmp_path / "o.csv"), "--method", "nasm"])
         assert code == 3
-        assert f"error[parse]: {bad}:3: row has 2 cells, expected 3" in capsys.readouterr().err
+        assert f"error[parse]: {bad}:4: row has 2 cells, expected 3" in capsys.readouterr().err
 
     def test_domain_error(self, tmp_path, matrix_csv):
         path, _ = matrix_csv
@@ -186,8 +231,8 @@ class TestSimulateCommand:
 
 class TestEvalCommand:
     def test_descriptor_run_with_trace(self, tmp_path):
-        base = gen_equicorrelated(200, 0.2, ParameterGrid.linspace(-3, 3, 25),
-                                  SeedRecord(6))
+        base, _ = GeneratorSpec(EQUICORRELATED, ParameterGrid.linspace(-3, 3, 25),
+                                rho=0.2).realize(200, SeedRecord(6))
         base_path = tmp_path / "base.csv"
         write_loss_matrix(base, base_path)
         descriptor = {
@@ -211,6 +256,35 @@ class TestEvalCommand:
         assert len(payload["reports"]) == 2
         traces = json.loads(prefix.with_suffix(".trace.json").read_text())
         assert len(traces["rr_n50_anywhere"]) == 10
+
+    def run_descriptor(self, tmp_path, descriptor):
+        desc_path = tmp_path / "exp.json"
+        desc_path.write_text(json.dumps(descriptor))
+        prefix = tmp_path / "out"
+        code = main(["eval", "--descriptor", str(desc_path), "--output-prefix", str(prefix)])
+        return code, prefix
+
+    def test_unknown_method_key_is_refused(self, tmp_path, capsys):
+        code, prefix = self.run_descriptor(tmp_path, {
+            "generator": {"family": "equicorrelated",
+                          "grid": {"low": -3.0, "high": 3.0, "size": 20}},
+            "methods": [{"name": "rr", "B": 50, "delta_typo": 0.5}],
+            "n": [30], "runs": 2, "seed": 2})
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "error[domain]" in err and "delta_typo" in err
+        assert not prefix.with_suffix(".csv").exists()
+
+    def test_one_row_surrogate_base_is_refused(self, tmp_path, capsys):
+        base_path = tmp_path / "one.csv"
+        write_loss_matrix(LossMatrix(ParameterGrid.linspace(0.0, 1.0, 5),
+                                     [[0.1, 0.2, 0.3, 0.4, 0.5]]), base_path)
+        code, prefix = self.run_descriptor(tmp_path, {
+            "generator": {"family": "matrix-surrogate", "path": str(base_path)},
+            "methods": [{"name": "nasm"}], "n": [4], "runs": 3, "seed": 2})
+        assert code == 5
+        assert "error[domain]: a surrogate base needs at least two rows" in capsys.readouterr().err
+        assert not prefix.with_suffix(".csv").exists()
 
     def test_invalid_descriptor_json(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from riskbands import (
     IndexSet,
@@ -10,7 +8,6 @@ from riskbands import (
     RiskCurve,
     empirical_risk,
     sublevel_set,
-    sup_deviation,
     validate,
 )
 
@@ -41,55 +38,6 @@ class TestEmpiricalRisk:
         assert validate(m).passed
         curve = empirical_risk(m)
         assert np.all(np.diff(curve.values) <= 0)
-
-
-class TestSupDeviation:
-    def test_identical_curves_give_zero(self):
-        c = RiskCurve(grid(3), [0.1, 0.2, 0.3], sample_size=10)
-        assert sup_deviation(c, c, sign="plus") == 0.0
-        assert sup_deviation(c, c, sign="minus") == 0.0
-
-    def test_direct_evaluation(self):
-        # a - b = [0.1, -0.2] at n=100: sup of sqrt(100) * diff is 1.0
-        a = RiskCurve(grid(2), [0.3, 0.1], sample_size=100)
-        b = RiskCurve(grid(2), [0.2, 0.3], sample_size=0)
-        assert sup_deviation(a, b, sign="plus") == pytest.approx(1.0)
-        assert sup_deviation(a, b, sign="minus") == pytest.approx(2.0)
-
-    def test_empty_subset_policy(self):
-        a = RiskCurve(grid(2), [0.3, 0.1], sample_size=100)
-        b = RiskCurve(grid(2), [0.2, 0.3], sample_size=0)
-        empty = IndexSet(np.array([], dtype=int))
-        assert sup_deviation(a, b, subset=empty) == 0.0
-
-    def test_grid_mismatch_rejected(self):
-        a = RiskCurve(grid(2), [0.3, 0.1], sample_size=10)
-        b = RiskCurve(ParameterGrid.linspace(0.0, 2.0, 2), [0.2, 0.3], sample_size=10)
-        with pytest.raises(ValueError):
-            sup_deviation(a, b)
-
-    def test_scale_resolution(self):
-        a = RiskCurve(grid(2), [0.3, 0.1], sample_size=0)
-        b = RiskCurve(grid(2), [0.2, 0.3], sample_size=0)
-        with pytest.raises(ValueError):
-            sup_deviation(a, b)  # both analytic
-        c = RiskCurve(grid(2), [0.3, 0.1], sample_size=25)
-        d = RiskCurve(grid(2), [0.2, 0.3], sample_size=16)
-        with pytest.raises(ValueError):
-            sup_deviation(c, d)  # ambiguous
-        assert sup_deviation(c, d, n=4) == pytest.approx(0.2)
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_subset_supremum_dominated_by_superset(self, seed):
-        rng = np.random.default_rng(seed)
-        g = grid(8)
-        a = RiskCurve(g, rng.random(8), sample_size=50)
-        b = RiskCurve(g, rng.random(8), sample_size=0)
-        small = IndexSet(rng.choice(8, size=3, replace=False))
-        big = IndexSet(np.union1d(small.indices, rng.choice(8, size=3, replace=False)))
-        for sign in ("plus", "minus"):
-            assert sup_deviation(a, b, small, sign) <= sup_deviation(a, b, big, sign)
 
 
 class TestSublevelSet:

@@ -37,9 +37,18 @@ from riskbands.losses import UNCONSTRAINED
 
 
 def reference_read_loss_matrix(path, orientation=UNCONSTRAINED):
-    """The row-by-row reader that read_loss_matrix must agree with."""
+    """The row-by-row reader that read_loss_matrix must agree with.
+
+    Rows are numbered by the file line they start on.
+    """
+    rows = []
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        line = 1
+        for row in reader:
+            if row:
+                rows.append((line, row))
+            line = reader.line_num + 1
     if len(rows) < 2:
         raise ParseError(f"{path}: need a grid header row and at least one sample row")
 
@@ -49,9 +58,9 @@ def reference_read_loss_matrix(path, orientation=UNCONSTRAINED):
         except ValueError as exc:
             raise ParseError(f"{path}:{line}: non-numeric cell ({exc})") from None
 
-    grid_values = parse(rows[0], 1)
+    grid_values = parse(rows[0][1], rows[0][0])
     data = []
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows[1:]:
         values = parse(row, i)
         if len(values) != len(grid_values):
             raise ParseError(f"{path}:{i}: row has {len(values)} cells, expected {len(grid_values)}")
@@ -178,6 +187,42 @@ class TestNumpyFirstReader:
         back = read_loss_matrix(path)
         assert np.array_equal(back.values, values)
         assert np.array_equal(back.grid.values, grid.values)
+
+
+EOLS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}
+
+
+class TestParseErrorLines:
+    """A ``ParseError`` names the physical file line of the bad row."""
+
+    @pytest.mark.parametrize("eol", sorted(EOLS))
+    @pytest.mark.parametrize("lines,expected", [
+        (["0,0.5,1", "0.1,zebra,0.3"], ":2: non-numeric"),
+        (["0,0.5,1", "", "0.1,zebra,0.3"], ":3: non-numeric"),
+        (["", "0,0.5,1", "0.1,0.2,0.3", "", "", "0.4,0.5"], ":6: row has 2 cells"),
+        (["", "a,b,c", "0.1,0.2,0.3"], ":2: non-numeric"),
+        (['"0\n",1', "0.1,zz"], ":3: non-numeric"),  # a quoted line break counts
+    ])
+    def test_loss_matrix(self, tmp_path, eol, lines, expected):
+        path = tmp_path / "loss.csv"
+        path.write_bytes(EOLS[eol].join(lines + [""]).encode())
+        with pytest.raises(ParseError) as info:
+            read_loss_matrix(path)
+        assert str(info.value).startswith(f"{path}{expected}")
+
+    @pytest.mark.parametrize("eol", sorted(EOLS))
+    @pytest.mark.parametrize("lines,expected", [
+        (["a,b", "", "0.1,0.2", "0.3,zz"], ":4: non-numeric"),
+        (["0.1,0.2", "", "", "0.3,zz"], ":4: non-numeric"),
+        (["", "0.1,0.2", "0.3,zz"], ":3: non-numeric"),
+    ])
+    def test_panel(self, tmp_path, eol, lines, expected):
+        scores, labels = tmp_path / "scores.csv", tmp_path / "labels.csv"
+        scores.write_bytes(EOLS[eol].join(lines + [""]).encode())
+        labels.write_text("0,1\n1,0\n")
+        with pytest.raises(ParseError) as info:
+            read_panel(scores, labels)
+        assert str(info.value).startswith(f"{scores}{expected}")
 
 
 def reference_csv_bytes(rows):

@@ -10,24 +10,26 @@ from riskbands import (
     SeedRecord,
     conservatism,
     empirical_risk,
-    gen_equicorrelated,
     miscoverage_anywhere,
     miscoverage_selected,
     oracle_sup_quantile,
     run_metrics,
     select_even_tradeoff,
-    split_surrogate,
     sublevel_set,
     surrogate_generator,
     wsr_band,
 )
-from riskbands.harness import CONSTANT, EQUICORRELATED, METRICS
+from riskbands.harness import CONSTANT, EQUICORRELATED, METHOD_NAMES, METRICS
 
 GRID = ParameterGrid.linspace(-3.0, 3.0, 41)
 
 
 def spec_for(rho, grid=GRID):
     return GeneratorSpec(EQUICORRELATED, grid, rho=rho)
+
+
+def equicorrelated_matrix(n, seed):
+    return spec_for(0.2).realize(n, SeedRecord(seed))[0]
 
 
 class TestGenerator:
@@ -69,7 +71,7 @@ class TestGenerator:
             spec_for(1.1)
 
     def test_losses_live_on_fifths(self):
-        matrix = gen_equicorrelated(50, 0.2, GRID, SeedRecord(0))
+        matrix = equicorrelated_matrix(50, 0)
         assert matrix.orientation == "nondecreasing"
         assert set(np.unique(matrix.values * 5)).issubset({0, 1, 2, 3, 4, 5})
 
@@ -289,39 +291,51 @@ class TestConservatism:
         assert rep.runs == 15
 
 
+def surrogate_halves(base, seed):
+    """Holdout and sampling rows of ``surrogate_generator``'s split at ``seed``."""
+    perm = seed.child(0).generator().permutation(base.n)
+    return perm[:base.n // 2], perm[base.n // 2:]
+
+
 class TestSurrogate:
     def test_minimal_split(self):
-        m = LossMatrix(GRID, np.random.default_rng(0).random((2, 41)))
-        hold, samp = split_surrogate(m, SeedRecord(12))
-        assert hold.n == 1 and samp.n == 1
+        base = LossMatrix(GRID, np.random.default_rng(0).random((2, 41)))
+        seed = SeedRecord(12)
+        matrix, truth = surrogate_generator(base).realize(5, seed)
+        hold, samp = surrogate_halves(base, seed)
+        assert hold.size == 1 and samp.size == 1
+        assert np.array_equal(truth, base.values[hold[0]])
+        assert all(np.array_equal(row, base.values[samp[0]]) for row in matrix.values)
 
     def test_split_deterministic_and_partitioning(self):
-        m = LossMatrix(GRID, np.random.default_rng(1).random((9, 41)))
-        h1, s1 = split_surrogate(m, SeedRecord(13))
-        h2, s2 = split_surrogate(m, SeedRecord(13))
-        assert np.array_equal(h1.values, h2.values)
-        assert h1.n == 4 and s1.n == 5
-        merged = np.vstack([h1.values, s1.values])
-        assert np.array_equal(np.sort(merged, axis=0), np.sort(m.values, axis=0))
+        base = LossMatrix(GRID, np.random.default_rng(1).random((9, 41)))
+        gen = surrogate_generator(base)
+        m1, t1 = gen.realize(30, SeedRecord(13))
+        m2, t2 = gen.realize(30, SeedRecord(13))
+        assert np.array_equal(m1.values, m2.values) and np.array_equal(t1, t2)
+        hold, samp = surrogate_halves(base, SeedRecord(13))
+        assert hold.size == 4 and samp.size == 5
+        assert sorted(np.concatenate([hold, samp]).tolist()) == list(range(9))
 
     def test_split_requires_two_rows(self):
         m = LossMatrix(GRID, np.random.default_rng(2).random((1, 41)))
-        with pytest.raises(ValueError):
-            split_surrogate(m, SeedRecord(14))
+        with pytest.raises(ValueError, match="two rows"):
+            surrogate_generator(m)
 
     def test_generator_resamples_sampling_half(self):
         base = LossMatrix(GRID, np.random.default_rng(3).random((40, 41)))
         gen = surrogate_generator(base)
-        matrix, truth = gen.realize(25, SeedRecord(15))
+        seed = SeedRecord(15)
+        matrix, truth = gen.realize(25, seed)
         assert matrix.n == 25
-        hold, samp = split_surrogate(base, SeedRecord(15).child(0))
-        assert np.array_equal(truth, empirical_risk(hold).values)
+        hold, samp = surrogate_halves(base, seed)
+        assert np.array_equal(truth, base.values[hold].mean(axis=0))
         # every drawn row comes from the sampling half
-        samp_rows = {tuple(r) for r in samp.values}
+        samp_rows = {tuple(r) for r in base.values[samp]}
         assert all(tuple(r) in samp_rows for r in matrix.values)
 
     def test_metrics_run_on_surrogate(self):
-        base = gen_equicorrelated(300, 0.2, GRID, SeedRecord(16))
+        base = equicorrelated_matrix(300, 16)
         gen = surrogate_generator(base)
         rep = miscoverage_anywhere(MethodSpec("nasm", delta=0.1), gen, 50, 20, SeedRecord(17))
         assert 0.0 <= rep.estimate <= 1.0
@@ -343,7 +357,7 @@ class TestSurrogate:
         assert np.array_equal(paired.values, paired2.values)
 
     def test_surrogate_without_companion_rejects_pairs(self):
-        base = gen_equicorrelated(40, 0.2, GRID, SeedRecord(23))
+        base = equicorrelated_matrix(40, 23)
         gen = surrogate_generator(base)
         with pytest.raises(ValueError, match="companion"):
             gen.realize_pair(10, SeedRecord(24))
@@ -351,14 +365,25 @@ class TestSurrogate:
 
 class TestMethodSpec:
     def test_upper_band_dispatch(self):
-        matrix = gen_equicorrelated(60, 0.2, GRID, SeedRecord(18))
+        matrix = equicorrelated_matrix(60, 18)
         seed = SeedRecord(19)
-        for name in ("nasm", "rr", "rrr", "pointwise"):
-            band = MethodSpec(name, B=64).upper_band(matrix, seed)
+        for name in METHOD_NAMES:
+            method = MethodSpec(name, B=64)
+            band = method.upper_band(matrix, seed)
             assert band.upper is not None
-            expected_tag = {"nasm": "nasm", "rr": "rr", "rrr": "rrr",
-                            "pointwise": "pointwise"}[name]
-            assert band.method == expected_tag
+            assert band.method == name
+            again = method.band(matrix, seed)
+            assert np.array_equal(band.upper, again.upper)
+            assert band.metadata() == again.metadata()
+            for side in ("lower", "two-sided"):
+                if name in ("rrr", "pointwise"):
+                    with pytest.raises(ValueError, match="upper bands only"):
+                        method.band(matrix, seed, side=side)
+                else:
+                    sided = method.band(matrix, seed, side=side)
+                    assert sided.method == name
+                    assert (sided.upper is not None) == (side == "two-sided")
+                    assert sided.lower is not None
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
