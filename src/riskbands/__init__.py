@@ -14,7 +14,6 @@ from .bootstrap import (
     SeedRecord,
     SuggestBResult,
     conservative_quantile,
-    quantile_upper,
     resample_counts,
     rr_band,
     suggest_b,
@@ -29,7 +28,7 @@ from .bounds import (
     wsr_rejects,
     wsr_upper,
 )
-from .compose import ComponentBandSet, combine, selective_ratio_upper
+from .compose import combine, selective_ratio_upper
 from .empirical import (
     IndexSet,
     RiskCurve,
@@ -67,7 +66,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryScorePanel",
     "BootstrapSupDistribution",
-    "ComponentBandSet",
     "ConfidenceBand",
     "GeneratorSpec",
     "IndexSet",
@@ -95,7 +93,6 @@ __all__ = [
     "nasm_band",
     "nasm_width",
     "oracle_sup_quantile",
-    "quantile_upper",
     "resample_counts",
     "rr_band",
     "rrr_band",

@@ -24,11 +24,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import ClassVar
+
 import numpy as np
 
 from .bounds import ConfidenceBand, SIDES
 from .empirical import IndexSet, empirical_risk
-from .losses import LossMatrix
+from .losses import LossMatrix, _frozen
 
 SIGNS = ("plus", "minus", "two-sided")
 
@@ -45,13 +47,14 @@ class SeedRecord:
     """Master seed plus a stream-splitting path; fully determines all draws.
 
     Streams are derived by spawn keys, so ``child(i)`` and ``generator(i)``
-    depend only on (seed, path, i) and never on evaluation order.
+    depend only on (seed, path, i) and never on evaluation order. ``scheme``
+    and ``algorithm`` name that derivation and PCG64 in every sidecar.
     """
 
     seed: int
     path: tuple[int, ...] = ()
-    scheme: str = "numpy-seedsequence-spawn-key"
-    algorithm: str = "pcg64"
+    scheme: ClassVar[str] = "numpy-seedsequence-spawn-key"
+    algorithm: ClassVar[str] = "pcg64"
 
     def __post_init__(self):
         if not 0 <= int(self.seed) < 2**64:
@@ -60,8 +63,7 @@ class SeedRecord:
         object.__setattr__(self, "path", tuple(int(i) for i in self.path))
 
     def child(self, *indices: int) -> "SeedRecord":
-        return SeedRecord(self.seed, self.path + tuple(int(i) for i in indices),
-                          self.scheme, self.algorithm)
+        return SeedRecord(self.seed, self.path + tuple(int(i) for i in indices))
 
     def generator(self, *indices: int) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed,
@@ -93,9 +95,7 @@ class BootstrapSupDistribution:
             raise ValueError(f"sign must be one of {SIGNS}")
         if self.sign == "two-sided" and v.size and v[0] < 0:
             raise ValueError("two-sided suprema must be nonnegative")
-        frozen = v.copy()
-        frozen.flags.writeable = False
-        object.__setattr__(self, "sorted_values", frozen)
+        object.__setattr__(self, "sorted_values", _frozen(v))
 
 
 def resample_counts(n: int, seed: SeedRecord, replicate_index: int) -> np.ndarray:
@@ -184,23 +184,27 @@ def _sup_values(
     """
     sub = sub - sub.mean(axis=0)
     out = np.empty(B)
-    blocks = [(b0, min(b0 + _BLOCK, B)) for b0 in range(0, B, _BLOCK)]
 
-    def work(block):
-        b0, b1 = block
+    def work(b0):
+        b1 = min(b0 + _BLOCK, B)
         g = (_count_blocks(n, seed, b0, b1) - 1.0) @ sub
         g /= math.sqrt(n)
         out[b0:b1] = _signed_sups(g, sign)
         if keep is not None:
             keep[b0:b1] = g
 
+    _map(work, range(0, B, _BLOCK), workers)
+    return out
+
+
+def _map(fn, items, workers: int) -> None:
+    """Call ``fn`` on each item, on a pool of ``workers`` threads when above 1."""
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(work, blocks))
+            list(pool.map(fn, items))
     else:
-        for block in blocks:
-            work(block)
-    return out
+        for item in items:
+            fn(item)
 
 
 def _deviations(matrix: LossMatrix, seed: SeedRecord, B: int, workers: int = 1) -> np.ndarray:
@@ -252,11 +256,6 @@ def sup_distribution(
     return BootstrapSupDistribution(values, B, sign, subset, seed)
 
 
-def quantile_upper(dist: BootstrapSupDistribution, delta: float) -> float:
-    """Conservative upper 1-delta quantile of the supremum distribution."""
-    return conservative_quantile(dist.sorted_values, delta)
-
-
 def rr_band(
     matrix: LossMatrix,
     delta: float,
@@ -280,7 +279,7 @@ def rr_band(
     full = IndexSet.full(matrix.grid)
     sign = {"upper": "minus", "lower": "plus", "two-sided": "two-sided"}[side]
     dist = sup_distribution(matrix, full, sign, B, seed, workers=workers)
-    q = quantile_upper(dist, delta)
+    q = conservative_quantile(dist.sorted_values, delta)
     width = q / math.sqrt(n)
     upper = curve.values + width if side in ("upper", "two-sided") else None
     lower = curve.values - width if side in ("lower", "two-sided") else None

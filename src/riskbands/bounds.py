@@ -180,12 +180,34 @@ def _capital_rejects(losses: np.ndarray, lam: np.ndarray, p, log_threshold: floa
     return running.max(axis=0) > log_threshold
 
 
+def _wsr_bisect(values: np.ndarray, delta: float) -> np.ndarray:
+    """Smallest rejected p of each column of an n x k loss array.
+
+    A fixed count of halvings reaches the 1e-9 tolerance on every column (the
+    capital is nondecreasing in p); 0 where p = 0 is already rejected, 1 where
+    no p <= 1 is.
+    """
+    k = values.shape[1]
+    lam = _wsr_lambdas(values, delta)
+    log_thr = math.log(1.0 / delta)
+    at_zero = _capital_rejects(values, lam, np.zeros(k), log_thr)
+    at_one = _capital_rejects(values, lam, np.ones(k), log_thr)
+    lo = np.zeros(k)
+    hi = np.ones(k)
+    for _ in range(int(math.ceil(math.log2(1.0 / WSR_BISECTION_TOL)))):
+        mid = 0.5 * (lo + hi)
+        rej = _capital_rejects(values, lam, mid, log_thr)
+        hi = np.where(rej, mid, hi)
+        lo = np.where(rej, lo, mid)
+    return np.where(at_zero, 0.0, np.where(~at_one, 1.0, hi))
+
+
 def wsr_upper(losses: np.ndarray, delta: float) -> float:
     """Betting upper confidence bound for the mean of one loss sequence.
 
     Returns the smallest p in [0, 1] at which the capital process first
-    exceeds 1/delta, located by bisection to absolute tolerance 1e-9
-    (the capital is nondecreasing in p), and 1 if no p <= 1 is rejected.
+    exceeds 1/delta, located by bisection to absolute tolerance 1e-9, and 1
+    if no p <= 1 is rejected; bit for bit ``wsr_band``'s value on a column.
     """
     losses = np.asarray(losses, dtype=float)
     if losses.ndim != 1 or losses.size < 1:
@@ -194,20 +216,7 @@ def wsr_upper(losses: np.ndarray, delta: float) -> float:
         raise ValueError("losses must lie in [0, 1]")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    lam = _wsr_lambdas(losses, delta)
-    log_thr = math.log(1.0 / delta)
-    if _capital_rejects(losses, lam, 0.0, log_thr):
-        return 0.0
-    if not _capital_rejects(losses, lam, 1.0, log_thr):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > WSR_BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if _capital_rejects(losses, lam, mid, log_thr):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return float(_wsr_bisect(losses[:, None], delta)[0])
 
 
 def wsr_band(matrix: LossMatrix, delta: float) -> ConfidenceBand:
@@ -218,27 +227,10 @@ def wsr_band(matrix: LossMatrix, delta: float) -> ConfidenceBand:
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    values = matrix.values
-    m = matrix.m
-    lam = _wsr_lambdas(values, delta)
-    log_thr = math.log(1.0 / delta)
-
-    at_zero = _capital_rejects(values, lam, np.zeros(m), log_thr)
-    at_one = _capital_rejects(values, lam, np.ones(m), log_thr)
-    lo = np.zeros(m)
-    hi = np.ones(m)
-    # fixed iteration count reaches the 1e-9 tolerance on every column
-    iters = int(math.ceil(math.log2(1.0 / WSR_BISECTION_TOL)))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        rej = _capital_rejects(values, lam, mid, log_thr)
-        hi = np.where(rej, mid, hi)
-        lo = np.where(rej, lo, mid)
-    upper = np.where(at_zero, 0.0, np.where(~at_one, 1.0, hi))
     return ConfidenceBand(
         grid=matrix.grid,
         lower=None,
-        upper=upper,
+        upper=_wsr_bisect(matrix.values, delta),
         validity=IndexSet.full(matrix.grid),
         delta=delta,
         method="pointwise",
@@ -252,10 +244,11 @@ def wsr_band(matrix: LossMatrix, delta: float) -> ConfidenceBand:
 def wsr_rejects(matrix: LossMatrix, p: np.ndarray, delta: float) -> np.ndarray:
     """Columnwise test of whether the betting bound falls strictly below p.
 
-    Equivalent to ``p > wsr_band(matrix, delta).upper`` without the bisection:
-    the rejection region in p is an up-set, so the bound is below p exactly
-    when the capital at p itself exceeds 1/delta. Used by the evaluation
-    harness to decide exceedance events without computing the bound.
+    Equals ``p > wsr_band(matrix, delta).upper`` up to the 1e-9 bisection
+    bracket, without the bisection: the rejection region in p is an up-set,
+    so the bound is below p exactly when the capital at p itself exceeds
+    1/delta. Used by the evaluation harness to decide exceedance events
+    without computing the bound.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")

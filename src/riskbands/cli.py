@@ -70,11 +70,24 @@ def _resolve_seed(value: int | None) -> SeedRecord:
     return SeedRecord(value)
 
 
-def _write_sidecar(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 _METHOD_PARAMS = tuple(f.name for f in fields(MethodSpec))[1:]  # each a --flag
+
+_DESCRIPTOR_KEYS = ("generator", "methods", "n", "runs", "seed", "metrics", "r", "scheme",
+                    "trace")
+
+# generator keys each family reads, besides "family"
+_FAMILY_KEYS = {
+    "equicorrelated": ("grid", "rho", "batch_size", "tradeoff_shift"),
+    "constant": ("grid", "value"),
+    "panel-surrogate": ("grid", "scores", "labels", "kind", "tradeoff_kind"),
+    "matrix-surrogate": ("path", "orientation"),
+}
+
+
+def _refuse_unknown(entry: dict, known, where: str) -> None:
+    unknown = sorted(set(entry) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} in {where}")
 
 
 def _add_method_args(parser) -> None:
@@ -125,7 +138,7 @@ def cmd_select(args) -> int:
     with out.open("w", newline="") as fh:
         fh.write("scheme,index,t,objective\n")
         fh.write(f"{result.scheme},{result.index},{result.t_value!r},{result.objective!r}\n")
-    _write_sidecar(out.with_suffix(out.suffix + ".json"), {
+    fileio.write_json(out.with_suffix(out.suffix + ".json"), {
         "command": "select",
         "scheme": result.scheme,
         "index": result.index,
@@ -162,44 +175,47 @@ def cmd_suggest_b(args) -> int:
         "history": [list(h) for h in result.history],
     }
     if args.output:
-        _write_sidecar(Path(args.output), payload)
+        fileio.write_json(args.output, payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _generator_from_config(cfg: dict) -> GeneratorSpec:
     family = cfg.get("family", "equicorrelated")
-    grid_cfg = cfg.get("grid")
-    if grid_cfg is not None:
-        grid = ParameterGrid.linspace(grid_cfg["low"], grid_cfg["high"], grid_cfg["size"])
-    elif family in ("equicorrelated", EQUICORRELATED, "constant", CONSTANT):
-        grid = default_synthetic_grid()
-    else:
-        grid = default_classification_grid()
-    if family in ("equicorrelated", EQUICORRELATED):
-        return GeneratorSpec(EQUICORRELATED, grid, rho=cfg.get("rho", 0.2),
-                             batch_size=cfg.get("batch_size", 5),
-                             tradeoff_shift=cfg.get("tradeoff_shift", 1.0))
-    if family in ("constant", CONSTANT):
-        return GeneratorSpec(CONSTANT, grid, value=cfg.get("value", 0.5))
-    if family == "panel-surrogate":
-        panel = fileio.read_panel(cfg["scores"], cfg["labels"])
-        kind = cfg.get("kind", "FNP")
-        matrix = threshold_losses(panel, grid, kind)
-        companion = None
-        if "tradeoff_kind" in cfg:
-            companion = threshold_losses(panel, grid, cfg["tradeoff_kind"])
-        return surrogate_generator(matrix, companion=companion, label=f"panel:{kind}")
+    if family == EQUICORRELATED:
+        family = "equicorrelated"
+    if family not in _FAMILY_KEYS:
+        raise ValueError(f"unknown generator family {family!r}")
+    _refuse_unknown(cfg, ("family", *_FAMILY_KEYS[family]), f"generator {cfg}")
     if family == "matrix-surrogate":
         matrix = fileio.read_loss_matrix(cfg["path"], cfg.get("orientation", UNCONSTRAINED))
         return surrogate_generator(matrix, label="matrix")
-    raise ValueError(f"unknown generator family {family!r}")
+    grid_cfg = cfg.get("grid")
+    if grid_cfg is not None:
+        grid = ParameterGrid.linspace(grid_cfg["low"], grid_cfg["high"], grid_cfg["size"])
+    elif family == "panel-surrogate":
+        grid = default_classification_grid()
+    else:
+        grid = default_synthetic_grid()
+    if family == "equicorrelated":
+        return GeneratorSpec(EQUICORRELATED, grid, rho=cfg.get("rho", 0.2),
+                             batch_size=cfg.get("batch_size", 5),
+                             tradeoff_shift=cfg.get("tradeoff_shift", 1.0))
+    if family == "constant":
+        return GeneratorSpec(CONSTANT, grid, value=cfg.get("value", 0.5))
+    panel = fileio.read_panel(cfg["scores"], cfg["labels"])
+    kind = cfg.get("kind", "FNP")
+    matrix = threshold_losses(panel, grid, kind)
+    companion = None
+    if "tradeoff_kind" in cfg:
+        companion = threshold_losses(panel, grid, cfg["tradeoff_kind"])
+    return surrogate_generator(matrix, companion=companion, label=f"panel:{kind}")
 
 
 def _method_from_entry(entry: dict, r: float) -> MethodSpec:
-    unknown = sorted(set(entry) - {"name", *_METHOD_PARAMS})
-    if unknown:
-        raise ValueError(f"unknown key(s) {unknown} in method entry {entry}")
+    _refuse_unknown(entry, ("name", *_METHOD_PARAMS), f"method entry {entry}")
+    if "name" not in entry:
+        raise ValueError(f"method entry {entry} has no 'name'")
     return MethodSpec(**{"r": r, **entry})
 
 
@@ -240,14 +256,15 @@ def _run_experiment(desc: dict, seed: SeedRecord, workers: int, prefix: Path,
     fileio.write_metrics_csv(reports, prefix.with_suffix(".csv"))
     fileio.write_metrics_json(reports, prefix.with_suffix(".json"), header=header)
     if desc.get("trace", False):
-        trace_path = prefix.with_suffix(".trace.json")
-        trace_path.write_text(json.dumps(traces, indent=1, sort_keys=True) + "\n")
+        fileio.write_json(prefix.with_suffix(".trace.json"), traces, indent=1)
     return reports
 
 
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
-    gen_cfg = {"family": args.family, "rho": args.rho}
+    gen_cfg = {"family": args.family}
+    if args.family == "equicorrelated":
+        gen_cfg["rho"] = args.rho
     if args.grid_size:
         gen_cfg["grid"] = {"low": args.grid_low, "high": args.grid_high,
                            "size": args.grid_size}
@@ -270,6 +287,7 @@ def cmd_eval(args) -> int:
         desc = json.loads(desc_path.read_text())
     except json.JSONDecodeError as exc:
         raise fileio.ParseError(f"{desc_path}: invalid JSON ({exc})") from None
+    _refuse_unknown(desc, _DESCRIPTOR_KEYS, "descriptor")
     seed = _resolve_seed(desc.get("seed", args.seed))
     prefix = Path(args.output_prefix)
     reports = _run_experiment(desc, seed, args.workers, prefix, header={

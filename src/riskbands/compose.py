@@ -9,7 +9,6 @@ general psi a bracketing grid scan over the box is used instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
@@ -19,29 +18,6 @@ from .bounds import ConfidenceBand
 from .empirical import CUSTOM, IndexSet
 
 
-@dataclass(frozen=True)
-class ComponentBandSet:
-    """Component bands on a shared grid whose budgets sum below 1."""
-
-    bands: tuple[ConfidenceBand, ...]
-
-    def __post_init__(self):
-        bands = tuple(self.bands)
-        if not bands:
-            raise ValueError("need at least one component band")
-        grid = bands[0].grid
-        for b in bands[1:]:
-            if b.grid != grid:
-                raise ValueError("component bands must share a grid")
-        if sum(b.delta for b in bands) >= 1.0:
-            raise ValueError("component error budgets must sum below 1")
-        object.__setattr__(self, "bands", bands)
-
-    @property
-    def delta(self) -> float:
-        return float(sum(b.delta for b in self.bands))
-
-
 def _box_sides(band: ConfidenceBand, m: int) -> tuple[np.ndarray, np.ndarray]:
     lo = band.lower if band.lower is not None else np.zeros(m)
     hi = band.upper if band.upper is not None else np.ones(m)
@@ -49,7 +25,7 @@ def _box_sides(band: ConfidenceBand, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def combine(
-    bands: ComponentBandSet | Sequence[ConfidenceBand],
+    bands: Sequence[ConfidenceBand],
     psi: Callable[..., np.ndarray],
     psi_monotonicity: Sequence[str] | None = None,
     scan_resolution: int = 33,
@@ -62,13 +38,19 @@ def combine(
     ``scan_resolution`` points per axis brackets them, and the resolution is
     recorded in the band info. Outputs outside [0, 1] are clamped with a note.
     Validity is the intersection of the component validity sets; the combined
-    budget is the exact sum of the component budgets.
+    budget is the exact sum of the component budgets. Refused: no band, grids
+    that differ, and budgets summing to 1 or more.
     """
-    if not isinstance(bands, ComponentBandSet):
-        bands = ComponentBandSet(tuple(bands))
-    comps = bands.bands
-    k = len(comps)
+    comps = tuple(bands)
+    if not comps:
+        raise ValueError("need at least one component band")
     grid = comps[0].grid
+    if any(b.grid != grid for b in comps[1:]):
+        raise ValueError("component bands must share a grid")
+    delta = float(sum(b.delta for b in comps))
+    if delta >= 1.0:
+        raise ValueError("component error budgets must sum below 1")
+    k = len(comps)
     m = len(grid)
 
     validity = comps[0].validity
@@ -121,7 +103,7 @@ def combine(
         lower=np.clip(lower, 0.0, 1.0),
         upper=np.clip(upper, 0.0, 1.0),
         validity=validity,
-        delta=bands.delta,
+        delta=delta,
         method="composed",
         width_info=None,
         sample_size=sizes.pop() if len(sizes) == 1 else 0,

@@ -54,9 +54,7 @@ class IndexSet:
             raise ValueError("grid indices must be nonnegative")
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        frozen = idx.copy()
-        frozen.flags.writeable = False
-        object.__setattr__(self, "indices", frozen)
+        object.__setattr__(self, "indices", _frozen(idx, dtype=np.int64))
 
     def __len__(self) -> int:
         return int(self.indices.size)

@@ -71,6 +71,11 @@ def _numpy_table(text: str) -> np.ndarray | None:
         return None
 
 
+def write_json(path, payload, indent: int = 2) -> None:
+    """Key-sorted JSON with a trailing newline; every sidecar and report."""
+    Path(path).write_text(json.dumps(payload, indent=indent, sort_keys=True) + "\n")
+
+
 def _write_rows(path, header, rows) -> None:
     """Rows of cells that need no quoting, written as ``csv.writer`` would."""
     with Path(path).open("w", newline="") as fh:
@@ -165,7 +170,7 @@ def write_band(band: ConfidenceBand, path, sidecar_extra: dict | None = None) ->
     payload = band.metadata()
     if sidecar_extra:
         payload.update(sidecar_extra)
-    sidecar.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(sidecar, payload)
     return sidecar
 
 
@@ -185,11 +190,11 @@ def read_band(path) -> ConfidenceBand:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{sidecar}: invalid JSON ({exc})") from None
     with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["t", "lower", "upper", "in_validity"]:
+        rows = list(_csv_rows(fh))
+    if not rows or rows[0][1] != ["t", "lower", "upper", "in_validity"]:
         raise ParseError(f"{path}: expected a band CSV header")
     t, lower, upper, mask = [], [], [], []
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows[1:]:
         if len(row) != 4:
             raise ParseError(f"{path}:{i}: expected 4 cells")
         try:
@@ -247,8 +252,7 @@ def write_metrics_csv(reports: list[MetricsReport], path) -> None:
 
 
 def write_metrics_json(reports: list[MetricsReport], path, header: dict | None = None) -> None:
-    path = Path(path)
     payload = {"reports": [rep.as_dict() for rep in reports]}
     if header:
         payload.update(header)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)

@@ -13,13 +13,12 @@ surrogate truth.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .bootstrap import SeedRecord, conservative_quantile, rr_band
+from .bootstrap import SeedRecord, _map, conservative_quantile, rr_band
 from .bounds import ConfidenceBand, nasm_band, wsr_band, wsr_rejects
 from .empirical import empirical_risk, sublevel_set
 from .losses import NONDECREASING, NONINCREASING, LossMatrix, ParameterGrid
@@ -239,15 +238,6 @@ def _spec_echo(spec: GeneratorSpec, n: int, runs: int, seed: SeedRecord) -> dict
     return echo
 
 
-def _map_runs(fn, runs: int, workers: int) -> None:
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fn, range(runs)))
-    else:
-        for run in range(runs):
-            fn(run)
-
-
 def oracle_sup_quantile(
     spec: GeneratorSpec,
     n: int,
@@ -270,7 +260,7 @@ def oracle_sup_quantile(
         curve = empirical_risk(matrix)
         sups[run] = (truth - curve.values).max()
 
-    _map_runs(one, runs, workers)
+    _map(one, range(runs), workers)
     sups.sort()
     return conservative_quantile(sups, delta)
 
@@ -378,7 +368,7 @@ def run_metrics(
                 elif chosen is not None and chosen.index in band.validity.indices:
                     cell[run] = band.upper[chosen.index] - truth[chosen.index]
 
-    _map_runs(one, runs, workers)
+    _map(one, range(runs), workers)
     if traces is not None:
         traces.extend([[_trace_records(metric, cell) for metric, cell in zip(metrics, cells)]
                        for cells in values])

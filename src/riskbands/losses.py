@@ -142,56 +142,40 @@ class BinaryScorePanel:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of an exact bounds-and-orientation check.
+    """Outcome of an exact orientation check.
 
     ``first_row``/``first_col`` locate the first violating entry (0-based;
-    for orientation failures the column is the right-hand element of the
-    offending adjacent pair).
+    the column is the right-hand element of the offending adjacent pair).
     """
 
     passed: bool
-    kind: str | None = None  # 'bounds' | 'orientation'
+    kind: str | None = None  # 'orientation' on failure
     first_row: int | None = None
     first_col: int | None = None
     message: str = "ok"
 
 
 def validate(matrix: LossMatrix, tolerance: float = 0.0) -> ValidationReport:
-    """Check that entries are in [0, 1] and the declared orientation holds.
+    """Check that the declared orientation holds.
 
-    Violations are reported, never raised. The orientation check is exact by
-    default (``tolerance`` 0); a positive tolerance permits monotonicity
-    violations up to that size, for user-supplied matrices with float dust.
+    Entries in [0, 1] are the ``LossMatrix`` constructor's check, so only the
+    orientation is scanned. Violations are reported, never raised. The check
+    is exact by default (``tolerance`` 0); a positive tolerance permits
+    monotonicity violations up to that size, for user-supplied matrices with
+    float dust.
     """
-    v = matrix.values
-    if v.min() < 0.0 or v.max() > 1.0:
-        r, c = _first_in_row_blocks(v, lambda b: (b < 0.0) | (b > 1.0))
-        return ValidationReport(False, "bounds", r, c, f"entry ({r},{c}) outside [0,1]")
     if matrix.orientation == UNCONSTRAINED or matrix.m == 1:
         return ValidationReport(True)
-    if matrix.orientation == NONINCREASING:
-        hit = _first_in_row_blocks(v, lambda b: np.diff(b, axis=1) > tolerance)
-    else:
-        hit = _first_in_row_blocks(v, lambda b: np.diff(b, axis=1) < -tolerance)
-    if hit is None:
-        return ValidationReport(True)
-    r, c = hit
-    return ValidationReport(False, "orientation", r, c + 1,
-                            f"row {r} violates {matrix.orientation} at column {c + 1}")
-
-
-def _first_in_row_blocks(v: np.ndarray, violated) -> tuple[int, int] | None:
-    """Row-major first (row, col) where ``violated(rows)`` is True, or None.
-
-    Scans ``_ROW_BLOCK`` rows at a time, so the masks and differences
-    ``violated`` builds never span the whole matrix.
-    """
-    for start in range(0, v.shape[0], _ROW_BLOCK):
-        bad = violated(v[start:start + _ROW_BLOCK])
+    # _ROW_BLOCK rows at a time, so no difference array spans the whole matrix
+    for start in range(0, matrix.n, _ROW_BLOCK):
+        d = np.diff(matrix.values[start:start + _ROW_BLOCK], axis=1)
+        bad = d > tolerance if matrix.orientation == NONINCREASING else d < -tolerance
         if bad.any():
             r, c = np.argwhere(bad)[0]
-            return start + int(r), int(c)
-    return None
+            r, c = start + int(r), int(c) + 1
+            return ValidationReport(False, "orientation", r, c,
+                                    f"row {r} violates {matrix.orientation} at column {c}")
+    return ValidationReport(True)
 
 
 def threshold_losses(panel: BinaryScorePanel, grid: ParameterGrid, kind: str) -> LossMatrix:

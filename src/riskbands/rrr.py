@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bootstrap import SeedRecord, quantile_clamped, quantile_upper, sup_distribution
+from .bootstrap import SeedRecord, conservative_quantile, quantile_clamped, sup_distribution
 from .bounds import ConfidenceBand
 from .empirical import ADJUSTED_SUBLEVEL, IndexSet, RiskCurve, empirical_risk, sublevel_set
 from .losses import UNCONSTRAINED, LossMatrix, validate
@@ -78,7 +78,7 @@ def _global_pass(matrix: LossMatrix, config: RRRConfig, workers: int):
         raise ValueError(f"loss matrix fails validation: {report.message}")
     curve = empirical_risk(matrix)
     dist = sup_distribution(matrix, None, "two-sided", config.B, config.seed, workers=workers)
-    return curve, quantile_upper(dist, config.delta_glob)
+    return curve, conservative_quantile(dist.sorted_values, config.delta_glob)
 
 
 def _local_pass(
@@ -99,7 +99,7 @@ def _local_pass(
 
     # paired replicates: the global pass's deviations, restricted to the adjusted set
     loc = sup_distribution(matrix, adjusted, "minus", config.B, config.seed, workers=workers)
-    q_loc = quantile_upper(loc, config.delta_loc)
+    q_loc = conservative_quantile(loc.sorted_values, config.delta_loc)
 
     width = q_loc / sqrt_n
     notes: tuple[str, ...] = ()

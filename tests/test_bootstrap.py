@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -19,7 +20,6 @@ from riskbands import (
     conservative_quantile,
     default_synthetic_grid,
     empirical_risk,
-    quantile_upper,
     resample_counts,
     rr_band,
     rrr_band,
@@ -63,6 +63,16 @@ class TestSeedRecord:
     def test_seed_domain(self):
         with pytest.raises(ValueError):
             SeedRecord(-1)
+
+    def test_scheme_and_algorithm_are_constants(self):
+        with pytest.raises(TypeError):
+            SeedRecord(1, algorithm="x")
+        with pytest.raises(TypeError):
+            SeedRecord(1, (), "other-scheme")
+        assert [f.name for f in dataclasses.fields(SeedRecord)] == ["seed", "path"]
+        assert SeedRecord(1).child(2, 3).as_dict() == {
+            "seed": 1, "path": [2, 3],
+            "scheme": "numpy-seedsequence-spawn-key", "algorithm": "pcg64"}
 
 
 class TestResampleCounts:
@@ -120,6 +130,11 @@ class TestSupDistribution:
         with pytest.raises(ValueError):
             BootstrapSupDistribution(np.array([2.0, 1.0]), 2, "plus",
                                      IndexSet(np.array([0])), SeedRecord(0))
+
+
+def quantile_upper(dist, delta):
+    """The conservative quantile of a supremum distribution, as rr and rrr read it."""
+    return conservative_quantile(dist.sorted_values, delta)
 
 
 class TestQuantileUpper:

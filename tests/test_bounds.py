@@ -222,12 +222,30 @@ class TestWsrBand:
         assert band.upper[0] == band.upper[1]
 
     def test_matches_columnwise_wsr_upper(self):
+        # one bisection serves both: a column's bound is wsr_upper's, bit for bit
         rng = np.random.default_rng(11)
-        g = ParameterGrid.linspace(0.0, 1.0, 5)
-        m = LossMatrix(g, rng.random((30, 5)))
-        band = wsr_band(m, 0.15)
-        for j in range(5):
-            assert band.upper[j] == pytest.approx(wsr_upper(m.values[:, j], 0.15), abs=2e-9)
+        for n in (1, 2, 30):
+            columns = [np.zeros(n), np.ones(n), (rng.random(n) < 0.4).astype(float),
+                       rng.random(n), np.full(n, 0.3)]
+            grid = ParameterGrid.linspace(0.0, 1.0, len(columns))
+            m = LossMatrix(grid, np.column_stack(columns))
+            for delta in (0.05, 0.15, 0.5):
+                band = wsr_band(m, delta)
+                for j, col in enumerate(columns):
+                    assert wsr_upper(col, delta) == band.upper[j]
+
+    def test_matches_oracle_scan_per_column(self):
+        rng = np.random.default_rng(11)
+        values = rng.random((30, 6))
+        values[:, 0] = 0.0
+        values[:, 1] = (values[:, 1] < 0.5).astype(float)
+        values[:, 2] **= 3
+        m = LossMatrix(ParameterGrid.linspace(0.0, 1.0, 6), values)
+        for delta in (0.15, 0.3):
+            band = wsr_band(m, delta)
+            for j in range(6):
+                assert band.upper[j] == pytest.approx(
+                    wsr_oracle_scan(values[:, j], delta), abs=2e-6)
 
 
 class TestWsrRejects:

@@ -219,6 +219,15 @@ class TestSimulateCommand:
         csv_lines = prefix.with_suffix(".csv").read_text().strip().splitlines()
         assert len(csv_lines) == 3
 
+    def test_constant_family_ignores_rho(self, tmp_path):
+        prefix = tmp_path / "sim"
+        code = main(["simulate", "--family", "constant", "--rho", "0.7", "--n", "20",
+                     "--runs", "3", "--method", "nasm", "--grid-size", "5", "--seed", "5",
+                     "--output-prefix", str(prefix)])
+        assert code == 0
+        [report] = json.loads(prefix.with_suffix(".json").read_text())["reports"]
+        assert report["config"]["family"] == "constant" and "rho" not in report["config"]
+
     def test_simulate_reproducible(self, tmp_path):
         args = ["simulate", "--family", "equicorrelated", "--rho", "0.2",
                 "--n", "80", "--runs", "10", "--method", "nasm",
@@ -273,6 +282,40 @@ class TestEvalCommand:
         assert code == 5
         err = capsys.readouterr().err
         assert "error[domain]" in err and "delta_typo" in err
+        assert not prefix.with_suffix(".csv").exists()
+
+    def test_unknown_descriptor_key_is_refused(self, tmp_path, capsys):
+        code, prefix = self.run_descriptor(tmp_path, {
+            "generator": {"family": "constant", "grid": {"low": 0.0, "high": 1.0, "size": 5}},
+            "metric": ["conservatism"], "n": [10], "runs": 2, "seed": 2})
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "error[domain]: unknown key(s) ['metric'] in descriptor" in err
+        assert not prefix.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize("generator, key", [
+        ({"family": "equicorrelated", "rhoo": 0.9}, "rhoo"),
+        ({"family": "constant", "rho": 0.2}, "rho"),
+        ({"family": "matrix-surrogate", "path": "base.csv",
+          "grid": {"low": 0.0, "high": 1.0, "size": 5}}, "grid"),
+    ])
+    def test_generator_key_outside_its_family_is_refused(self, tmp_path, capsys,
+                                                         generator, key):
+        code, prefix = self.run_descriptor(tmp_path, {
+            "generator": generator, "methods": [{"name": "nasm"}],
+            "n": [10], "runs": 2, "seed": 2})
+        assert code == 5
+        err = capsys.readouterr().err
+        assert f"error[domain]: unknown key(s) ['{key}'] in generator" in err
+        assert not prefix.with_suffix(".csv").exists()
+
+    def test_method_entry_without_name_is_refused(self, tmp_path, capsys):
+        code, prefix = self.run_descriptor(tmp_path, {
+            "generator": {"family": "constant", "grid": {"low": 0.0, "high": 1.0, "size": 5}},
+            "methods": [{"delta": 0.1}], "n": [10], "runs": 2, "seed": 2})
+        assert code == 5
+        err = capsys.readouterr().err
+        assert "error[domain]: method entry {'delta': 0.1} has no 'name'" in err
         assert not prefix.with_suffix(".csv").exists()
 
     def test_one_row_surrogate_base_is_refused(self, tmp_path, capsys):

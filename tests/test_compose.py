@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from riskbands import (
-    ComponentBandSet,
     ConfidenceBand,
     IndexSet,
     ParameterGrid,
@@ -108,8 +107,19 @@ class TestCombine:
     def test_grid_mismatch_rejected(self):
         b1 = band([0.0, 0.0], [1.0, 1.0])
         b2 = band([0.0, 0.0], [1.0, 1.0], grid=ParameterGrid.linspace(0.0, 2.0, 2))
-        with pytest.raises(ValueError):
-            ComponentBandSet((b1, b2))
+        with pytest.raises(ValueError, match="component bands must share a grid"):
+            combine((b1, b2), lambda a, b: a + b, psi_monotonicity=["increasing"] * 2)
+
+    def test_no_band_rejected(self):
+        with pytest.raises(ValueError, match="need at least one component band"):
+            combine([], lambda: np.zeros(2))
+
+    @pytest.mark.parametrize("deltas", [(0.5, 0.5), (0.6, 0.3, 0.2)])
+    def test_budgets_summing_to_one_rejected(self, deltas):
+        bands = [band([0.0, 0.0], [1.0, 1.0], delta=d) for d in deltas]
+        with pytest.raises(ValueError, match="component error budgets must sum below 1"):
+            combine(bands, lambda *parts: sum(parts),
+                    psi_monotonicity=["increasing"] * len(bands))
 
 
 class TestSelectiveRatioUpper:

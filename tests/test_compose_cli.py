@@ -49,6 +49,34 @@ class TestReadBand:
         with pytest.raises(ParseError, match="sidecar"):
             read_band(path)
 
+    def test_trailing_blank_line_is_skipped(self, tmp_path):
+        path, band = make_band(tmp_path, "b.csv", [0.1, 0.2, 0.3], [0.4, 0.5, 0.6])
+        path.write_bytes(path.read_bytes() + b"\r\n")
+        back = read_band(path)
+        assert np.array_equal(back.lower, band.lower)
+        assert np.array_equal(back.upper, band.upper)
+
+    def test_blank_line_between_rows_is_skipped(self, tmp_path):
+        path, band = make_band(tmp_path, "b.csv", None, [0.4, 0.5, 0.6])
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        back = read_band(path)
+        assert back.lower is None
+        assert np.array_equal(back.upper, band.upper)
+
+    @pytest.mark.parametrize("bad_row, message", [
+        ("0.5,,zebra,1", "could not convert"),
+        ("0.5,,0.5", "expected 4 cells"),
+    ])
+    def test_bad_row_is_reported_on_its_file_line(self, tmp_path, bad_row, message):
+        from riskbands.fileio import ParseError
+        path, _ = make_band(tmp_path, "b.csv", None, [0.4, 0.5, 0.6])
+        lines = path.read_text().splitlines()
+        # header, row, blank, row, bad row: the bad row is line 5 of the file
+        path.write_text("\n".join(lines[:2] + ["", lines[2], bad_row]) + "\n")
+        with pytest.raises(ParseError, match=f":5: .*{message}"):
+            read_band(path)
+
 
 class TestComposeCommand:
     def test_ratio(self, tmp_path):

@@ -6,8 +6,8 @@ from riskbands import (
     ParameterGrid,
     RRRConfig,
     SeedRecord,
+    conservative_quantile,
     empirical_risk,
-    quantile_upper,
     rrr_band,
     rrr_band_population,
     sup_distribution,
@@ -84,7 +84,7 @@ class TestRRRBand:
         cfg = config(11, r=0.6, B=256)
         result = rrr_band(m, cfg)
         full = sup_distribution(m, None, "minus", cfg.B, cfg.seed)
-        assert result.q_loc <= quantile_upper(full, cfg.delta_loc) + 1e-15
+        assert result.q_loc <= conservative_quantile(full.sorted_values, cfg.delta_loc) + 1e-15
 
     def test_global_matches_sup_distribution_bitwise(self):
         # the internal global pass and the public two-sided distribution are
@@ -93,7 +93,7 @@ class TestRRRBand:
         cfg = config(13, r=0.5, B=192)
         result = rrr_band(m, cfg)
         dist = sup_distribution(m, None, "two-sided", cfg.B, cfg.seed)
-        assert result.q_glob == quantile_upper(dist, cfg.delta_glob)
+        assert result.q_glob == conservative_quantile(dist.sorted_values, cfg.delta_glob)
 
     def test_clamped_quantile_is_noted(self):
         m = nonincreasing_matrix(12, n=60, m=10)
