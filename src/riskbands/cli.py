@@ -90,6 +90,12 @@ def _refuse_unknown(entry: dict, known, where: str) -> None:
         raise ValueError(f"unknown key(s) {unknown} in {where}")
 
 
+def _required(entry: dict, key: str, where: str):
+    if key not in entry:
+        raise ValueError(f"missing key {key!r} in {where}")
+    return entry[key]
+
+
 def _add_method_args(parser) -> None:
     parser.add_argument("--method", required=True, choices=METHOD_NAMES)
     for name in _METHOD_PARAMS:
@@ -188,11 +194,13 @@ def _generator_from_config(cfg: dict) -> GeneratorSpec:
         raise ValueError(f"unknown generator family {family!r}")
     _refuse_unknown(cfg, ("family", *_FAMILY_KEYS[family]), f"generator {cfg}")
     if family == "matrix-surrogate":
-        matrix = fileio.read_loss_matrix(cfg["path"], cfg.get("orientation", UNCONSTRAINED))
+        matrix = fileio.read_loss_matrix(_required(cfg, "path", f"generator {cfg}"),
+                                         cfg.get("orientation", UNCONSTRAINED))
         return surrogate_generator(matrix, label="matrix")
     grid_cfg = cfg.get("grid")
     if grid_cfg is not None:
-        grid = ParameterGrid.linspace(grid_cfg["low"], grid_cfg["high"], grid_cfg["size"])
+        grid = ParameterGrid.linspace(*(_required(grid_cfg, key, f"grid {grid_cfg}")
+                                        for key in ("low", "high", "size")))
     elif family == "panel-surrogate":
         grid = default_classification_grid()
     else:
@@ -203,7 +211,8 @@ def _generator_from_config(cfg: dict) -> GeneratorSpec:
                              tradeoff_shift=cfg.get("tradeoff_shift", 1.0))
     if family == "constant":
         return GeneratorSpec(CONSTANT, grid, value=cfg.get("value", 0.5))
-    panel = fileio.read_panel(cfg["scores"], cfg["labels"])
+    panel = fileio.read_panel(*(_required(cfg, key, f"generator {cfg}")
+                                for key in ("scores", "labels")))
     kind = cfg.get("kind", "FNP")
     matrix = threshold_losses(panel, grid, kind)
     companion = None
@@ -260,6 +269,16 @@ def _run_experiment(desc: dict, seed: SeedRecord, workers: int, prefix: Path,
     return reports
 
 
+def _exit_code(reports: list) -> int:
+    """EXIT_DOMAIN, with one stderr line per cell whose every run was
+    excluded, once every file is written; EXIT_OK when there is none."""
+    empty = [rep for rep in reports if rep.extra.get("excluded_runs") == rep.runs]
+    for rep in empty:
+        print(f"error[domain]: {rep.config['method']} n={rep.config['n']} {rep.metric}: "
+              f"every run was excluded", file=sys.stderr)
+    return EXIT_DOMAIN if empty else EXIT_OK
+
+
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     gen_cfg = {"family": args.family}
@@ -278,7 +297,7 @@ def cmd_simulate(args) -> int:
     })
     for rep in reports:
         print(f"{rep.metric}: {rep.estimate!r} (se {rep.std_error!r})")
-    return EXIT_OK
+    return _exit_code(reports)
 
 
 def cmd_eval(args) -> int:
@@ -296,7 +315,7 @@ def cmd_eval(args) -> int:
         "seed": seed.as_dict(),
     })
     print(f"{len(reports)} report(s) written to {prefix.with_suffix('.csv')}")
-    return EXIT_OK
+    return _exit_code(reports)
 
 
 def cmd_compose(args) -> int:

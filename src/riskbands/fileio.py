@@ -11,6 +11,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -252,7 +253,13 @@ def write_metrics_csv(reports: list[MetricsReport], path) -> None:
 
 
 def write_metrics_json(reports: list[MetricsReport], path, header: dict | None = None) -> None:
+    """Reports as strict JSON: a NaN estimate or standard error (a cell whose
+    every run was excluded) is written as null."""
     payload = {"reports": [rep.as_dict() for rep in reports]}
+    for rep in payload["reports"]:
+        for key in ("estimate", "std_error"):
+            if math.isnan(rep[key]):
+                rep[key] = None
     if header:
         payload.update(header)
     write_json(path, payload)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .bootstrap import SeedRecord, _map, conservative_quantile, rr_band
-from .bounds import ConfidenceBand, nasm_band, wsr_band, wsr_rejects
+from .bounds import ConfidenceBand, nasm_band, wsr_band, wsr_rejects, wsr_upper
 from .empirical import empirical_risk, sublevel_set
 from .losses import NONDECREASING, NONINCREASING, LossMatrix, ParameterGrid
 from .rrr import RRRConfig, rrr_band
@@ -286,12 +286,13 @@ def _cell_report(metric: str, values: np.ndarray, config: dict, r: float,
         return MetricsReport(f"miscoverage-{metric}", p, runs,
                              math.sqrt(p * (1.0 - p) / runs), config)
     kept = values[~np.isnan(values)]
-    if kept.size == 0:
-        raise ValueError("every run was excluded; no threshold had a valid band value")
-    se = float(kept.std(ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0
     config.update({"scheme": scheme, "r": r})
-    return MetricsReport("conservatism", float(kept.mean()), runs, se, config,
-                         extra={"excluded_runs": int(runs - kept.size)})
+    extra = {"excluded_runs": int(runs - kept.size)}
+    if kept.size == 0:
+        extra["note"] = "every run was excluded; no selected threshold had a valid band value"
+        return MetricsReport("conservatism", math.nan, runs, math.nan, config, extra=extra)
+    se = float(kept.std(ddof=1) / math.sqrt(kept.size)) if kept.size > 1 else 0.0
+    return MetricsReport("conservatism", float(kept.mean()), runs, se, config, extra=extra)
 
 
 def _trace_records(metric: str, values: np.ndarray) -> list[dict]:
@@ -318,12 +319,15 @@ def run_metrics(
     companion only when conservatism is asked for (its primary matrix and
     truth equal the plain realization's), and builds each method's band once
     from ``seed.child(i).child(1)``. Every metric reduces that band, so all
-    cells share common random numbers. ``anywhere``: the truth exceeds the
-    band somewhere on validity. ``selected``: the same within the empirical
-    sublevel set at ``r``; an empty set counts as covered. ``conservatism``:
-    band minus truth at the threshold ``scheme`` selects within that set;
-    runs with no selection, or one outside validity, are excluded, and a cell
-    whose every run is excluded raises ``ValueError``. Returns
+    cells share common random numbers. ``pointwise`` builds no band: its
+    events come from one betting test per grid point, and its conservatism
+    from the betting bound at the selected column alone. ``anywhere``: the
+    truth exceeds the band somewhere on validity. ``selected``: the same
+    within the empirical sublevel set at ``r``; an empty set counts as
+    covered. ``conservatism``: band minus truth at the threshold ``scheme``
+    selects within that set; runs with no selection, or one outside
+    validity, are excluded, and a cell whose every run is excluded reports
+    a NaN estimate and standard error with a note in ``extra``. Returns
     ``reports[i][j]`` for ``methods[i]`` and ``metrics[j]``; ``traces``, when
     given, is extended with the per-run records in the same nesting.
     """
@@ -356,7 +360,7 @@ def run_metrics(
                 chosen = select(curve, empirical_risk(companion), selected)
         for method, cells in zip(methods, values):
             band = None
-            if chosen is not None or (needs_band and method.name != "pointwise"):
+            if method.name != "pointwise" and (chosen is not None or needs_band):
                 band = method.upper_band(matrix, run_seed.child(1))
             if needs_band:
                 exceeds = _exceedance(method, matrix, truth, band)
@@ -365,8 +369,14 @@ def run_metrics(
                     cell[run] = exceeds.any()
                 elif metric == "selected":
                     cell[run] = exceeds[selected.indices].any()
-                elif chosen is not None and chosen.index in band.validity.indices:
-                    cell[run] = band.upper[chosen.index] - truth[chosen.index]
+                elif chosen is not None:
+                    j = chosen.index
+                    if band is None:
+                        # pointwise, valid on the whole grid: the betting bound
+                        # at column j alone is bit for bit the full band's entry
+                        cell[run] = wsr_upper(matrix.values[:, j], method.delta) - truth[j]
+                    elif j in band.validity.indices:
+                        cell[run] = band.upper[j] - truth[j]
 
     _map(one, range(runs), workers)
     if traces is not None:

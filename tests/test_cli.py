@@ -309,6 +309,56 @@ class TestEvalCommand:
         assert f"error[domain]: unknown key(s) ['{key}'] in generator" in err
         assert not prefix.with_suffix(".csv").exists()
 
+    @pytest.mark.parametrize("generator, key", [
+        ({"family": "constant", "grid": {"low": 0.0, "size": 5}}, "high"),
+        ({"family": "panel-surrogate", "labels": "labels.csv"}, "scores"),
+        ({"family": "matrix-surrogate", "orientation": "nondecreasing"}, "path"),
+    ])
+    def test_missing_generator_key_is_refused(self, tmp_path, capsys, generator, key):
+        code, prefix = self.run_descriptor(tmp_path, {
+            "generator": generator, "methods": [{"name": "nasm"}],
+            "n": [10], "runs": 2, "seed": 2})
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[domain]: missing key '{key}' in ")
+        assert not prefix.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize("scheme", ["even-tradeoff", "elbow"])
+    def test_all_excluded_cell_is_written_then_refused(self, tmp_path, capsys, scheme):
+        descriptor = {
+            "generator": {"family": "equicorrelated", "rho": 0.2,
+                          "grid": {"low": -3.0, "high": 3.0, "size": 41}},
+            "methods": [{"name": "nasm"}, {"name": "rrr", "B": 64, "r": 0.1},
+                        {"name": "pointwise"}],
+            "n": [100], "runs": 5, "seed": 28, "r": 0.15, "scheme": scheme,
+            "metrics": ["anywhere", "conservatism"], "trace": True}
+        code, prefix = self.run_descriptor(tmp_path, descriptor)
+        assert code == 5
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error")] == [
+            "error[domain]: rrr n=100 conservatism: every run was excluded"]
+        rows = prefix.with_suffix(".csv").read_text().splitlines()
+        assert len(rows) == 7
+        assert rows[4].startswith("conservatism,rrr,equicorrelated-gaussian-cdf,100,5,nan,nan,")
+        # strict JSON: the empty cell's estimate and standard error are null
+        payload = json.loads(prefix.with_suffix(".json").read_text(),
+                             parse_constant=lambda name: pytest.fail(f"non-JSON {name}"))
+        empty = payload["reports"][3]
+        assert empty["estimate"] is None and empty["std_error"] is None
+        assert empty["extra"]["excluded_runs"] == 5
+        traces = json.loads(prefix.with_suffix(".trace.json").read_text())
+        assert [t["gap"] for t in traces["rrr_n100_conservatism"]] == [None] * 5
+        # the other cells are those of the same eval without rrr
+        descriptor["methods"].pop(1)
+        desc_path = tmp_path / "without_rrr.json"
+        desc_path.write_text(json.dumps(descriptor))
+        alone = tmp_path / "without_rrr"
+        assert main(["eval", "--descriptor", str(desc_path),
+                     "--output-prefix", str(alone)]) == 0
+        assert alone.with_suffix(".csv").read_text().splitlines() == rows[:3] + rows[5:]
+        alone_traces = json.loads(alone.with_suffix(".trace.json").read_text())
+        assert alone_traces == {k: v for k, v in traces.items() if not k.startswith("rrr")}
+
     def test_method_entry_without_name_is_refused(self, tmp_path, capsys):
         code, prefix = self.run_descriptor(tmp_path, {
             "generator": {"family": "constant", "grid": {"low": 0.0, "high": 1.0, "size": 5}},

@@ -14,11 +14,13 @@ from riskbands import (
     miscoverage_selected,
     oracle_sup_quantile,
     run_metrics,
+    select_elbow,
     select_even_tradeoff,
     sublevel_set,
     surrogate_generator,
     wsr_band,
 )
+import riskbands.harness
 from riskbands.harness import CONSTANT, EQUICORRELATED, METHOD_NAMES, METRICS
 
 GRID = ParameterGrid.linspace(-3.0, 3.0, 41)
@@ -265,6 +267,40 @@ class TestRunMetrics:
         with pytest.raises(ValueError, match="unknown metric"):
             run_metrics(self.METHODS, spec_for(0.2), 20, 2, 1, ["coverage"])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("scheme, select", [("even-tradeoff", select_even_tradeoff),
+                                                ("elbow", select_elbow)])
+    def test_pointwise_gap_is_the_full_band_entry(self, scheme, select, workers):
+        # the gap read from the one selected column equals the full betting
+        # band's entry there, exactly
+        spec = spec_for(0.2)
+        seed = SeedRecord(32)
+        n, runs, delta = 120, 8, 0.15
+        traces = []
+        [[rep]] = run_metrics([MethodSpec("pointwise", delta=delta)], spec, n, runs, seed,
+                              ["conservatism"], scheme=scheme, workers=workers,
+                              traces=traces)
+        gaps, columns = [], set()
+        for run in range(runs):
+            matrix, companion, truth = spec.realize_pair(n, seed.child(run, 0))
+            curve = empirical_risk(matrix)
+            j = select(curve, empirical_risk(companion), sublevel_set(curve, 0.1)).index
+            columns.add(j)
+            gaps.append(float(wsr_band(matrix, delta).upper[j] - truth[j]))
+        assert [t["gap"] for t in traces[0][0]] == gaps
+        assert rep.extra["excluded_runs"] == 0
+        assert len(columns) > 1
+
+    def test_pointwise_builds_no_band(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the harness bisected the whole grid")
+
+        monkeypatch.setattr(riskbands.harness, "wsr_band", refuse)
+        [reports] = run_metrics([MethodSpec("pointwise")], spec_for(0.2), 60, 3, 33,
+                                list(METRICS))
+        assert [rep.metric for rep in reports] == [
+            "miscoverage-anywhere", "miscoverage-selected", "conservatism"]
+
 
 class TestConservatism:
     def test_zero_width_band_at_truth_gives_zero(self):
@@ -280,6 +316,19 @@ class TestConservatism:
         nasm = conservatism(MethodSpec("nasm", delta=0.1), spec, 1000, 20, seed)
         rr = conservatism(MethodSpec("rr", delta=0.1, B=200), spec, 1000, 20, seed)
         assert nasm.estimate >= rr.estimate
+
+    @pytest.mark.parametrize("scheme", ["even-tradeoff", "elbow"])
+    def test_all_excluded_cell_reports_nan(self, scheme):
+        # harness r above rrr's own r: every selected threshold lies outside
+        # rrr's validity set
+        spec = spec_for(0.2)
+        rep = conservatism(MethodSpec("rrr", B=64), spec, 100, 5, SeedRecord(28),
+                           scheme=scheme, r=0.15)
+        assert np.isnan(rep.estimate) and np.isnan(rep.std_error)
+        assert rep.runs == 5
+        assert rep.extra["excluded_runs"] == 5
+        assert "every run was excluded" in rep.extra["note"]
+        assert rep.config["scheme"] == scheme and rep.config["r"] == 0.15
 
     def test_rrr_exclusions_counted(self):
         # RRR validity is the sublevel set; thresholds selected outside it
