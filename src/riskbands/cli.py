@@ -96,6 +96,14 @@ def _required(entry: dict, key: str, where: str):
     return entry[key]
 
 
+def _typed(value, kind: type, what: str):
+    """``value`` when it is a ``kind`` (dict: a JSON object, list: a JSON list)."""
+    if not isinstance(value, kind):
+        name = "an object" if kind is dict else "a list"
+        raise ValueError(f"{what} must be {name}, not {json.dumps(value)}")
+    return value
+
+
 def _add_method_args(parser) -> None:
     parser.add_argument("--method", required=True, choices=METHOD_NAMES)
     for name in _METHOD_PARAMS:
@@ -187,6 +195,7 @@ def cmd_suggest_b(args) -> int:
 
 
 def _generator_from_config(cfg: dict) -> GeneratorSpec:
+    _typed(cfg, dict, "'generator'")
     family = cfg.get("family", "equicorrelated")
     if family == EQUICORRELATED:
         family = "equicorrelated"
@@ -199,6 +208,7 @@ def _generator_from_config(cfg: dict) -> GeneratorSpec:
         return surrogate_generator(matrix, label="matrix")
     grid_cfg = cfg.get("grid")
     if grid_cfg is not None:
+        _typed(grid_cfg, dict, "'grid'")
         grid = ParameterGrid.linspace(*(_required(grid_cfg, key, f"grid {grid_cfg}")
                                         for key in ("low", "high", "size")))
     elif family == "panel-surrogate":
@@ -244,7 +254,9 @@ def _run_experiment(desc: dict, seed: SeedRecord, workers: int, prefix: Path,
     metrics = desc.get("metrics", ["anywhere"])
     r = float(desc.get("r", MethodSpec.r))
     scheme = desc.get("scheme", "even-tradeoff")
-    methods = [_method_from_entry(mc, r) for mc in desc.get("methods", [{"name": "rr"}])]
+    entries = _typed(desc.get("methods", [{"name": "rr"}]), list, "'methods'")
+    methods = [_method_from_entry(_typed(mc, dict, "each entry of 'methods'"), r)
+               for mc in entries]
 
     by_n = []
     for n in n_list:
@@ -306,7 +318,7 @@ def cmd_eval(args) -> int:
         desc = json.loads(desc_path.read_text())
     except json.JSONDecodeError as exc:
         raise fileio.ParseError(f"{desc_path}: invalid JSON ({exc})") from None
-    _refuse_unknown(desc, _DESCRIPTOR_KEYS, "descriptor")
+    _refuse_unknown(_typed(desc, dict, "the descriptor"), _DESCRIPTOR_KEYS, "descriptor")
     seed = _resolve_seed(desc.get("seed", args.seed))
     prefix = Path(args.output_prefix)
     reports = _run_experiment(desc, seed, args.workers, prefix, header={

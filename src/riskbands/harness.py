@@ -108,12 +108,7 @@ class GeneratorSpec:
             raise ValueError("need n >= 1")
         if self.family == CUSTOM_FAMILY:
             return self.realize_fn(n, seed)
-        if self.family == EQUICORRELATED:
-            z = self._draw_batches(n, seed.generator())
-            values = (z[:, :, None] <= self.grid.values[None, None, :]).mean(axis=1)
-        else:
-            values = np.full((n, len(self.grid)), self.value)
-        return LossMatrix(self.grid, values, NONDECREASING), self.truth_values()
+        return self._analytic(n, seed, pair=False)[0], self.truth_values()
 
     def realize_pair(self, n: int, seed: SeedRecord) -> tuple[LossMatrix, LossMatrix, np.ndarray]:
         """Loss matrix, an opposing (nonincreasing) companion, and the truth.
@@ -129,15 +124,53 @@ class GeneratorSpec:
                 raise ValueError("this generator has no tradeoff companion; "
                                  "supply a pair_fn or use an analytic family")
             return self.pair_fn(n, seed)
-        primary, truth = self.realize(n, seed)
-        if self.family == EQUICORRELATED:
-            # the primary's batches again, scored at the shifted threshold
-            z = self._draw_batches(n, seed.generator())
-            shifted = (z[:, :, None] <= (self.grid.values + self.tradeoff_shift)[None, None, :])
-            companion = 1.0 - shifted.mean(axis=1)
-        else:
-            companion = np.full((n, len(self.grid)), 1.0 - self.value)
-        return primary, LossMatrix(self.grid, companion, NONINCREASING), truth
+        if n < 1:
+            raise ValueError("need n >= 1")
+        primary, companion = self._analytic(n, seed, pair=True)
+        return primary, companion, self.truth_values()
+
+    def _analytic(self, n: int, seed: SeedRecord, pair: bool) -> list[LossMatrix]:
+        # the primary matrix, then with ``pair`` the companion; for the
+        # equicorrelated family both score one draw of the batches
+        m = len(self.grid)
+        if self.family == CONSTANT:
+            out = [LossMatrix._owning(self.grid, np.full((n, m), self.value), NONDECREASING)]
+            if pair:
+                out.append(LossMatrix._owning(self.grid, np.full((n, m), 1.0 - self.value),
+                                              NONINCREASING))
+            return out
+        z = self._draw_batches(n, seed.generator())
+        K = z.shape[1]
+        # the batch fraction of draws at or below each threshold: a step
+        # function of t that rises by 1/K at each draw's bin, kept as those bins
+        values, bins = _step_counts(z, self.grid.values)
+        values /= K
+        out = [LossMatrix._owning(self.grid, values, NONDECREASING, steps=(bins, K))]
+        if pair:
+            companion, _ = _step_counts(z, self.grid.values + self.tradeoff_shift)
+            companion /= K
+            np.subtract(1.0, companion, out=companion)
+            out.append(LossMatrix._owning(self.grid, companion, NONINCREASING))
+        return out
+
+
+def _step_counts(z: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Counts #{k : z[i, k] <= thresholds[j]} as an n x m float array, and the jump bins.
+
+    ``bins[i, k]`` is the first grid index whose threshold is at or above
+    ``z[i, k]`` (m when none is), so row i counts its bins at or below j: one
+    scatter per batch column (its rows are distinct), then a cumulative sum
+    in place. No n x K x m tensor is formed, and the counts are exact.
+    """
+    n, m = z.shape[0], thresholds.size
+    bins = np.searchsorted(thresholds, z, "left")
+    counts = np.zeros((n, m))
+    rows = np.arange(n)
+    for col in bins.T:
+        inside = col < m
+        counts[rows[inside], col[inside]] += 1.0
+    np.cumsum(counts, axis=1, out=counts)
+    return counts, bins
 
 
 @dataclass(frozen=True)
@@ -333,6 +366,9 @@ def run_metrics(
     """
     if isinstance(seed, int):
         seed = SeedRecord(seed)
+    runs = int(runs)
+    if runs < 1:
+        raise ValueError(f"need runs >= 1, got {runs}")
     for metric in metrics:
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}")
@@ -477,7 +513,7 @@ def surrogate_generator(
         rng = seed.child(1).generator()
         picks = samp_idx[rng.integers(0, samp_idx.size, size=int(n))]
         truth = np.clip(base.values[hold_idx].mean(axis=0), 0.0, 1.0)
-        return picks, LossMatrix(base.grid, base.values[picks], base.orientation), truth
+        return picks, LossMatrix._owning(base.grid, base.values[picks], base.orientation), truth
 
     def realize(n: int, seed: SeedRecord) -> tuple[LossMatrix, np.ndarray]:
         _, primary, truth = draw(n, seed)
@@ -485,7 +521,8 @@ def surrogate_generator(
 
     def realize_pair(n: int, seed: SeedRecord):
         picks, primary, truth = draw(n, seed)
-        paired = LossMatrix(companion.grid, companion.values[picks], companion.orientation)
+        paired = LossMatrix._owning(companion.grid, companion.values[picks],
+                                     companion.orientation)
         return primary, paired, truth
 
     return GeneratorSpec(CUSTOM_FAMILY, base.grid, realize_fn=realize,

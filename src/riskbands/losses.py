@@ -73,18 +73,53 @@ class LossMatrix:
     it), so that genuinely non-monotone losses such as the false discovery
     proportion can be represented and then monotonized.
 
+    The constructor copies ``values``, so the caller's array can change
+    afterwards without changing the matrix.
+
     ``_replicates`` holds the bootstrap deviations of the last (seed, B) the
     bootstrap computed for this matrix (see ``bootstrap._deviations``); the
     values are read-only, so the entry stays valid for the matrix's lifetime.
+
+    ``_steps`` is ``(bins, K)`` on the matrices the equicorrelated generator
+    realizes and ``None`` on every other: a read-only n x K integer array and
+    the batch size K, with ``values[i, j] == #{k : bins[i, k] <= j} / K``, so
+    each row is a step function that rises by 1/K at each of its bins (a bin
+    of m lies past the grid). The bootstrap reads it instead of the dense
+    values (see ``bootstrap._step_deviations``).
     """
 
     grid: ParameterGrid
     values: np.ndarray
     orientation: str = UNCONSTRAINED
     _replicates: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _steps: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
+        self._check(v)
+        object.__setattr__(self, "values", _frozen(v))
+
+    @classmethod
+    def _owning(cls, grid: ParameterGrid, values: np.ndarray, orientation: str,
+                steps: tuple | None = None) -> "LossMatrix":
+        """A matrix that takes over ``values``, an array nobody else holds.
+
+        The constructor's checks, without its copy: the array itself is made
+        read-only and kept. ``steps`` becomes ``_steps`` (its bins are made
+        read-only too).
+        """
+        v = np.asarray(values, dtype=float)
+        self = cls.__new__(cls)
+        for name, value in (("grid", grid), ("values", v), ("orientation", orientation),
+                            ("_replicates", None), ("_steps", steps)):
+            object.__setattr__(self, name, value)
+        self._check(v)
+        v.flags.writeable = False
+        if steps is not None:
+            steps[0].flags.writeable = False
+        return self
+
+    def _check(self, v: np.ndarray) -> None:
         if v.ndim != 2:
             raise ValueError("loss values must be a 2-D array (samples x grid)")
         if v.shape[0] < 1:
@@ -93,13 +128,14 @@ class LossMatrix:
             raise ValueError(
                 f"loss matrix has {v.shape[1]} columns but grid has {len(self.grid)} points"
             )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("loss values must be finite")
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
+        # min and max propagate NaN, so one range test also catches every
+        # non-finite entry without an n x m mask
+        if not (v.min() >= 0.0 and v.max() <= 1.0):
+            if not np.all(np.isfinite(v)):
+                raise ValueError("loss values must be finite")
             raise ValueError("loss values must lie in [0, 1]")
         if self.orientation not in ORIENTATIONS:
             raise ValueError(f"unknown orientation {self.orientation!r}")
-        object.__setattr__(self, "values", _frozen(v))
 
     @property
     def n(self) -> int:
@@ -226,7 +262,7 @@ def threshold_losses(panel: BinaryScorePanel, grid: ParameterGrid, kind: str) ->
         "FDP": UNCONSTRAINED,
         "SetSize": NONDECREASING,
     }[kind]
-    return LossMatrix(grid, out, orientation)
+    return LossMatrix._owning(grid, out, orientation)
 
 
 def monotonize(matrix: LossMatrix, direction: str) -> LossMatrix:
@@ -244,7 +280,7 @@ def monotonize(matrix: LossMatrix, direction: str) -> LossMatrix:
         orientation = NONDECREASING
     else:
         raise ValueError("direction must be 'running-min' or 'running-max'")
-    return LossMatrix(matrix.grid, values, orientation)
+    return LossMatrix._owning(matrix.grid, values, orientation)
 
 
 def batch(matrix: LossMatrix, k: int) -> LossMatrix:
@@ -268,4 +304,4 @@ def batch(matrix: LossMatrix, k: int) -> LossMatrix:
         )
     kept = n - dropped
     values = matrix.values[:kept].reshape(kept // k, k, matrix.m).mean(axis=1)
-    return LossMatrix(matrix.grid, values, matrix.orientation)
+    return LossMatrix._owning(matrix.grid, values, matrix.orientation)

@@ -132,6 +132,56 @@ class TestSupDistribution:
                                      IndexSet(np.array([0])), SeedRecord(0))
 
 
+def stepped(n, batch_size, seed):
+    """A realized (stepped) equicorrelated matrix on a grid that some draws overshoot."""
+    # [-1.5, 1.5] holds 87% of the standard normal, so draws fall past both ends
+    spec = GeneratorSpec(EQUICORRELATED, ParameterGrid.linspace(-1.5, 1.5, 23), rho=0.3,
+                         batch_size=batch_size)
+    return spec.realize(n, SeedRecord(seed))[0]
+
+
+class TestStepForm:
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    @pytest.mark.parametrize("batch_size", [1, 5])
+    @pytest.mark.parametrize("B", [1, 63, 64, 65, 300])
+    def test_matches_dense_copy(self, n, batch_size, B):
+        realized = stepped(n, batch_size, 40 + n)
+        dense = fresh_copy(realized)
+        assert realized._steps is not None and dense._steps is None
+        seed = SeedRecord(41).child(B)
+        subset = IndexSet(np.array([0, 3, 11, 22]))
+        for sign in ("plus", "minus", "two-sided"):
+            for index_set in (None, subset):
+                got = sup_distribution(realized, index_set, sign, B, seed).sorted_values
+                want = sup_distribution(dense, index_set, sign, B, seed).sorted_values
+                assert np.abs(got - want).max() <= 1e-12
+
+    def test_draws_fall_past_both_ends(self):
+        bins, K = stepped(400, 5, 440)._steps
+        assert K == 5 and bins.shape == (400, 5)
+        assert bins.min() == 0 and bins.max() == 23
+
+    @pytest.mark.parametrize("batch_size", [1, 5])
+    def test_bit_identical_serial_vs_parallel(self, batch_size):
+        seed = SeedRecord(42)
+        # each side realizes its own matrix, so neither reads the other's replicates
+        serial = stepped(400, batch_size, 43)
+        parallel = stepped(400, batch_size, 43)
+        d1 = sup_distribution(serial, None, "two-sided", 300, seed, workers=1)
+        d3 = sup_distribution(parallel, None, "two-sided", 300, seed, workers=3)
+        assert np.array_equal(d1.sorted_values, d3.sorted_values)
+        assert np.array_equal(serial._replicates[1], parallel._replicates[1])
+
+    def test_constant_columns_give_exact_zeros(self):
+        # a grid far below every draw: each column counts no draw, so each
+        # replicate's deviations are exactly zero there
+        spec = GeneratorSpec(EQUICORRELATED, ParameterGrid.linspace(-40.0, -39.0, 4), rho=0.2)
+        matrix, _ = spec.realize(50, SeedRecord(44))
+        assert matrix._steps is not None and not matrix.values.any()
+        for sign in ("plus", "minus", "two-sided"):
+            assert not sup_distribution(matrix, None, sign, 65, SeedRecord(45)).sorted_values.any()
+
+
 def quantile_upper(dist, delta):
     """The conservative quantile of a supremum distribution, as rr and rrr read it."""
     return conservative_quantile(dist.sorted_values, delta)
@@ -264,6 +314,18 @@ def reference_deviations(matrix, seed, B, columns=None):
     return g
 
 
+def integer_count_deviations(matrix, K, seed, B):
+    """sqrt(n) (L* - L) per replicate for losses that are counts over K.
+
+    The counts and the replicate weights are integers, so their products
+    are summed exactly in integer arithmetic before one division.
+    """
+    counts = np.rint(matrix.values * K).astype(np.int64)
+    assert np.array_equal(counts / K, matrix.values)
+    weights = np.array([resample_counts(matrix.n, seed, b) - 1 for b in range(B)])
+    return (weights @ counts) / (K * math.sqrt(matrix.n))
+
+
 class TestReplicateEngine:
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -290,6 +352,16 @@ class TestReplicateEngine:
         rr_band(m, 0.1, B, seed, workers=3)
         assert len(draws) == B
 
+    def test_stepped_matrix_draws_each_replicate_once(self, draws):
+        m = stepped(300, 5, 46)
+        assert m._steps is not None
+        seed, B = SeedRecord(5).child(2), 200
+        rr_band(m, 0.1, B, seed)
+        rrr_band(m, RRRConfig(seed=seed, r=0.5, B=B))
+        sup_distribution(m, IndexSet(np.array([2, 3])), "plus", B, seed)
+        assert len(draws) == B
+        assert sorted(i for _, i in draws) == list(range(B))
+
     @pytest.mark.parametrize("change", ["seed", "B", "matrix"])
     def test_other_seed_b_or_matrix_draws_again(self, draws, change):
         m = random_matrix(21, n=60, m=10, orientation="nonincreasing")
@@ -310,7 +382,9 @@ class TestReplicateEngine:
         # a curve rising from 0 to 1, so the adjusted set is a proper subset
         spec = GeneratorSpec(EQUICORRELATED, default_synthetic_grid(40), rho=0.2)
         n = 400
-        m, _ = spec.realize(n, SeedRecord(22))
+        realized, _ = spec.realize(n, SeedRecord(22))
+        # an equal-valued copy has no step form: it runs the GEMM the reference describes
+        m = fresh_copy(realized)
         seed, B = SeedRecord(7).child(1), 300
         cfg = RRRConfig(seed=seed, r=0.3, B=B)
         rr = rr_band(m, 0.1, B, seed)
@@ -334,6 +408,21 @@ class TestReplicateEngine:
         assert abs(rrr.q_loc - q_loc) <= 1e-12
         assert np.allclose(rrr.band.upper, np.clip(curve + q_loc / math.sqrt(n), 0.0, 1.0),
                            rtol=0, atol=1e-12)
+
+        # the realized matrix runs the step form: within 1e-12 of the GEMM,
+        # and bit for bit the quantiles of exact integer count sums
+        step_rr = rr_band(realized, 0.1, B, seed)
+        step_rrr = rrr_band(realized, cfg)
+        assert abs(step_rr.info["q_hat"] - q_rr) <= 1e-12
+        assert abs(step_rrr.q_glob - q_glob) <= 1e-12
+        assert abs(step_rrr.q_loc - q_loc) <= 1e-12
+        g_int = integer_count_deviations(realized, 5, seed, B)
+        assert step_rr.info["q_hat"] == conservative_quantile(np.sort((-g_int).max(axis=1)), 0.1)
+        assert step_rrr.q_glob == conservative_quantile(np.sort(np.abs(g_int).max(axis=1)),
+                                                        cfg.delta_glob)
+        assert np.array_equal(step_rrr.adjusted.indices, adjusted)
+        assert step_rrr.q_loc == conservative_quantile(
+            np.sort((-g_int[:, adjusted]).max(axis=1)), cfg.delta_loc)
 
     def test_memory_does_not_grow_with_b_times_n(self):
         # n much larger than m: B x n counts would be 16 MB, B x m deviations 0.1 MB

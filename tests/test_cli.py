@@ -323,6 +323,36 @@ class TestEvalCommand:
         assert err.startswith(f"error[domain]: missing key '{key}' in ")
         assert not prefix.with_suffix(".csv").exists()
 
+    def test_zero_runs_is_refused(self, tmp_path, capsys):
+        code, prefix = self.run_descriptor(tmp_path, {
+            "generator": {"family": "constant", "grid": {"low": 0.0, "high": 1.0, "size": 5}},
+            "methods": [{"name": "nasm"}], "n": [10], "runs": 0, "seed": 2})
+        assert code == 5
+        assert capsys.readouterr().err == "error[domain]: need runs >= 1, got 0\n"
+        assert not prefix.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"generator": {"family": "constant", "grid": 5}}, "'grid' must be an object, not 5"),
+        ({"generator": []}, "'generator' must be an object, not []"),
+        ({"methods": {"name": "nasm"}},
+         """'methods' must be a list, not {"name": "nasm"}"""),
+        ({"methods": ["nasm"]}, """each entry of 'methods' must be an object, not "nasm\""""),
+    ])
+    def test_wrong_value_type_is_refused(self, tmp_path, capsys, entries, message):
+        code, prefix = self.run_descriptor(tmp_path, {
+            "generator": {"family": "constant", "grid": {"low": 0.0, "high": 1.0, "size": 5}},
+            "methods": [{"name": "nasm"}], "n": [10], "runs": 2, "seed": 2, **entries})
+        assert code == 5
+        assert capsys.readouterr().err == f"error[domain]: {message}\n"
+        assert not prefix.with_suffix(".csv").exists()
+
+    def test_descriptor_must_be_an_object(self, tmp_path, capsys):
+        code, prefix = self.run_descriptor(tmp_path, [{"name": "nasm"}])
+        assert code == 5
+        assert capsys.readouterr().err == (
+            """error[domain]: the descriptor must be an object, not [{"name": "nasm"}]\n""")
+        assert not prefix.with_suffix(".csv").exists()
+
     @pytest.mark.parametrize("scheme", ["even-tradeoff", "elbow"])
     def test_all_excluded_cell_is_written_then_refused(self, tmp_path, capsys, scheme):
         descriptor = {

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -9,6 +11,7 @@ from riskbands import (
     ParameterGrid,
     SeedRecord,
     conservatism,
+    default_synthetic_grid,
     empirical_risk,
     miscoverage_anywhere,
     miscoverage_selected,
@@ -116,6 +119,50 @@ class TestGenerator:
         matrix, truth = spec.realize(10, SeedRecord(0))
         assert np.all(matrix.values == 0.3)
         assert np.all(truth == 0.3)
+
+    @pytest.mark.parametrize("n", [1, 7, 400])
+    @pytest.mark.parametrize("batch_size", [1, 5])
+    def test_realized_values_are_the_tensor_mean(self, n, batch_size):
+        # grids some draws overshoot at both ends, one no draw reaches, and
+        # one whose points are draws themselves (z <= t holds at equality)
+        seed = SeedRecord(50).child(n)
+        drawn = GeneratorSpec(EQUICORRELATED, GRID, rho=0.3, batch_size=batch_size)
+        ties = ParameterGrid(np.unique(drawn._draw_batches(n, seed.generator())[:3]))
+        for grid in (ParameterGrid.linspace(-1.5, 1.5, 23), ParameterGrid.linspace(-1.0, 2.0, 40),
+                     ParameterGrid.linspace(9.0, 10.0, 3), ties):
+            spec = GeneratorSpec(EQUICORRELATED, grid, rho=0.3, batch_size=batch_size,
+                                 tradeoff_shift=0.7)
+            z = spec._draw_batches(n, seed.generator())
+            t = grid.values
+            primary = (z[:, :, None] <= t[None, None, :]).mean(axis=1)
+            companion = 1.0 - (z[:, :, None] <= (t + 0.7)[None, None, :]).mean(axis=1)
+            matrix, _ = spec.realize(n, seed)
+            assert np.array_equal(matrix.values, primary)
+            assert matrix.values.flags.c_contiguous and not matrix.values.flags.writeable
+            paired, paired_companion, _ = spec.realize_pair(n, seed)
+            assert np.array_equal(paired.values, primary)
+            assert np.array_equal(paired_companion.values, companion)
+            # the step form describes the values it came with
+            bins, K = matrix._steps
+            assert K == batch_size and not bins.flags.writeable
+            counts = (bins[:, :, None] <= np.arange(len(grid))[None, None, :]).sum(axis=1)
+            assert np.array_equal(counts / K, primary)
+
+    def test_realize_holds_one_copy_of_the_matrix(self):
+        # realize(2000) on the paper grid builds a 16 MB matrix, which keeps
+        # that array: no copy and no n x K x m tensor beside it
+        spec = spec_for(0.2, default_synthetic_grid())
+        spec.realize(10, SeedRecord(0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            matrix, _ = spec.realize(2000, SeedRecord(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.values.nbytes == 16_000_000
+        assert peak - before <= 1.25 * matrix.values.nbytes
 
     def test_pair_has_interior_tradeoff(self):
         # the companion's population risk is 1 - Phi(t + shift), so the sum

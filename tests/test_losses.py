@@ -50,9 +50,39 @@ class TestLossMatrix:
         with pytest.raises(ValueError):
             LossMatrix(g, [[-0.1, 0.5]])
 
+    @pytest.mark.parametrize("values, message", [
+        ([[0.5, np.nan]], "finite"),
+        ([[0.5, np.inf]], "finite"),
+        ([[2.0, -np.inf]], "finite"),  # non-finite is named before out-of-range
+        ([[0.5, 1.5]], r"lie in \[0, 1\]"),
+        ([[-0.1, 0.5]], r"lie in \[0, 1\]"),
+    ])
+    def test_bad_entry_names_its_kind(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            LossMatrix(grid(0.0, 1.0), values)
+        with pytest.raises(ValueError, match=message):
+            LossMatrix._owning(grid(0.0, 1.0), np.array(values), "unconstrained")
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             LossMatrix(grid(0.0, 1.0), [[0.5, 0.5, 0.5]])
+        with pytest.raises(ValueError):
+            LossMatrix._owning(grid(0.0, 1.0), np.full((1, 3), 0.5), "unconstrained")
+
+    def test_constructor_copies(self):
+        values = np.array([[0.25, 0.5], [0.75, 1.0]])
+        m = LossMatrix(grid(0.0, 1.0), values)
+        values[0, 0] = 0.0
+        assert m.values[0, 0] == 0.25
+        assert values.flags.writeable and not m.values.flags.writeable
+
+    def test_owning_path_keeps_the_array(self):
+        values = np.array([[0.25, 0.5], [0.75, 1.0]])
+        m = LossMatrix._owning(grid(0.0, 1.0), values, "nondecreasing")
+        assert m.values is values and not values.flags.writeable
+        assert m.orientation == "nondecreasing" and m._steps is None
+        with pytest.raises(ValueError):
+            LossMatrix._owning(grid(0.0, 1.0), values, "sideways")
 
     def test_orientation_is_declared_not_enforced(self):
         # a violated declaration constructs fine and is caught by validate()
