@@ -206,16 +206,16 @@ def _sup_values(
 
 def _step_deviations(
     bins: np.ndarray,
-    K: int,
     n: int,
     seed: SeedRecord,
     B: int,
     keep: np.ndarray,
     workers: int = 1,
 ) -> None:
-    """Deviation rows of a stepped matrix (``LossMatrix._steps``) into ``keep``.
+    """Deviation rows of a stepped matrix into ``keep``, from its n x K bins.
 
-    Row i of the matrix has a unit jump of 1/K at each of its bins, so with
+    ``bins`` is the matrix's ``_steps``: row i has a jump of 1/K at each of
+    its K bins (``losses._step_counts`` counts them), so with
     the replicate's counts c, sqrt(n) (L* - L) at grid point j is
     sum_{j' <= j} sum_{i,k: bins[i, k] = j'} (c_i - 1) / (K sqrt(n)): a
     weighted histogram of the bins and a cumulative sum, O(nK + m) per
@@ -226,7 +226,7 @@ def _step_deviations(
     """
     m = keep.shape[1]
     columns = np.ascontiguousarray(bins.T)
-    scale = K * math.sqrt(n)
+    scale = bins.shape[1] * math.sqrt(n)
 
     def work(b0):
         b1 = min(b0 + _BLOCK, B)
@@ -265,7 +265,7 @@ def _deviations(matrix: LossMatrix, seed: SeedRecord, B: int, workers: int = 1) 
         return memo[1]
     g = np.empty((B, matrix.m))
     if matrix._steps is not None:
-        _step_deviations(*matrix._steps, matrix.n, seed, B, g, workers=workers)
+        _step_deviations(matrix._steps, matrix.n, seed, B, g, workers=workers)
     else:
         _sup_values(matrix.values, matrix.n, "two-sided", seed, B, workers=workers, keep=g)
     g.flags.writeable = False

@@ -96,11 +96,15 @@ def _required(entry: dict, key: str, where: str):
     return entry[key]
 
 
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               float: "a number"}
+
+
 def _typed(value, kind: type, what: str):
-    """``value`` when it is a ``kind`` (dict: a JSON object, list: a JSON list)."""
-    if not isinstance(value, kind):
-        name = "an object" if kind is dict else "a list"
-        raise ValueError(f"{what} must be {name}, not {json.dumps(value)}")
+    """``value`` when it is a JSON ``kind`` (float: any number; a boolean is neither)."""
+    types = (int, float) if kind is float else kind
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ValueError(f"{what} must be {_JSON_NAMES[kind]}, not {json.dumps(value)}")
     return value
 
 
@@ -247,12 +251,12 @@ def _run_experiment(desc: dict, seed: SeedRecord, workers: int, prefix: Path,
     Reports come out in method -> n -> metric order.
     """
     spec = _generator_from_config(desc.get("generator", {}))
-    runs = int(desc.get("runs", 1000))
+    runs = _typed(desc.get("runs", 1000), int, "'runs'")
     n_list = desc.get("n", [1000])
-    if isinstance(n_list, int):
-        n_list = [n_list]
-    metrics = desc.get("metrics", ["anywhere"])
-    r = float(desc.get("r", MethodSpec.r))
+    n_list = [_typed(n, int, "'n'") for n in (n_list if isinstance(n_list, list) else [n_list])]
+    metrics = [_typed(name, str, "each entry of 'metrics'")
+               for name in _typed(desc.get("metrics", ["anywhere"]), list, "'metrics'")]
+    r = float(_typed(desc.get("r", MethodSpec.r), float, "'r'"))
     scheme = desc.get("scheme", "even-tradeoff")
     entries = _typed(desc.get("methods", [{"name": "rr"}]), list, "'methods'")
     methods = [_method_from_entry(_typed(mc, dict, "each entry of 'methods'"), r)
@@ -262,7 +266,7 @@ def _run_experiment(desc: dict, seed: SeedRecord, workers: int, prefix: Path,
     for n in n_list:
         t0 = time.perf_counter()
         traces = []
-        by_n.append((run_metrics(methods, spec, int(n), runs, seed, metrics, r=r,
+        by_n.append((run_metrics(methods, spec, n, runs, seed, metrics, r=r,
                                  scheme=scheme, workers=workers, traces=traces), traces))
         print(f"n={n}: {len(methods)} method(s) x {len(metrics)} metric(s) "
               f"({time.perf_counter() - t0:.1f}s)", file=sys.stderr)

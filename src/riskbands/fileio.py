@@ -107,19 +107,24 @@ def read_loss_matrix(path, orientation: str = UNCONSTRAINED) -> LossMatrix:
         raise ParseError(f"{path}: {exc}") from None
 
 
+def _parse_table(rows, path) -> np.ndarray:
+    """``_csv_rows`` pairs as floats, each row as wide as the first; names the bad line."""
+    width = len(rows[0][1])
+    data = []
+    for i, row in rows:
+        values = _parse_row(row, path, i)
+        if len(values) != width:
+            raise ParseError(f"{path}:{i}: row has {len(values)} cells, expected {width}")
+        data.append(values)
+    return np.array(data)
+
+
 def _read_loss_rows(path: Path, lines) -> np.ndarray:
     """Row-by-row parse of a loss matrix CSV that names the first bad line."""
     rows = list(_csv_rows(lines))
     if len(rows) < 2:
         raise ParseError(f"{path}: need a grid header row and at least one sample row")
-    grid_values = _parse_row(rows[0][1], path, rows[0][0])
-    data = [grid_values]
-    for i, row in rows[1:]:
-        values = _parse_row(row, path, i)
-        if len(values) != len(grid_values):
-            raise ParseError(f"{path}:{i}: row has {len(values)} cells, expected {len(grid_values)}")
-        data.append(values)
-    return np.array(data)
+    return _parse_table(rows, path)
 
 
 def write_loss_matrix(matrix: LossMatrix, path) -> None:
@@ -140,11 +145,7 @@ def _read_numeric_table(path) -> np.ndarray:
         rows = rows[1:]
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    data = [_parse_row(row, path, i) for i, row in rows]
-    widths = {len(r) for r in data}
-    if len(widths) != 1:
-        raise ParseError(f"{path}: ragged rows (widths {sorted(widths)})")
-    return np.array(data)
+    return _parse_table(rows, path)
 
 
 def read_panel(scores_path, labels_path) -> BinaryScorePanel:

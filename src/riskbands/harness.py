@@ -21,7 +21,7 @@ import numpy as np
 from .bootstrap import SeedRecord, _map, conservative_quantile, rr_band
 from .bounds import ConfidenceBand, nasm_band, wsr_band, wsr_rejects, wsr_upper
 from .empirical import empirical_risk, sublevel_set
-from .losses import NONDECREASING, NONINCREASING, LossMatrix, ParameterGrid
+from .losses import NONDECREASING, NONINCREASING, LossMatrix, ParameterGrid, _step_counts
 from .rrr import RRRConfig, rrr_band
 from .selection import SCHEMES, select_elbow, select_even_tradeoff
 
@@ -143,34 +143,16 @@ class GeneratorSpec:
         K = z.shape[1]
         # the batch fraction of draws at or below each threshold: a step
         # function of t that rises by 1/K at each draw's bin, kept as those bins
-        values, bins = _step_counts(z, self.grid.values)
+        bins = np.searchsorted(self.grid.values, z)
+        values = _step_counts(bins, m)
         values /= K
-        out = [LossMatrix._owning(self.grid, values, NONDECREASING, steps=(bins, K))]
+        out = [LossMatrix._owning(self.grid, values, NONDECREASING, steps=bins)]
         if pair:
-            companion, _ = _step_counts(z, self.grid.values + self.tradeoff_shift)
+            companion = _step_counts(np.searchsorted(self.grid.values + self.tradeoff_shift, z), m)
             companion /= K
             np.subtract(1.0, companion, out=companion)
             out.append(LossMatrix._owning(self.grid, companion, NONINCREASING))
         return out
-
-
-def _step_counts(z: np.ndarray, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Counts #{k : z[i, k] <= thresholds[j]} as an n x m float array, and the jump bins.
-
-    ``bins[i, k]`` is the first grid index whose threshold is at or above
-    ``z[i, k]`` (m when none is), so row i counts its bins at or below j: one
-    scatter per batch column (its rows are distinct), then a cumulative sum
-    in place. No n x K x m tensor is formed, and the counts are exact.
-    """
-    n, m = z.shape[0], thresholds.size
-    bins = np.searchsorted(thresholds, z, "left")
-    counts = np.zeros((n, m))
-    rows = np.arange(n)
-    for col in bins.T:
-        inside = col < m
-        counts[rows[inside], col[inside]] += 1.0
-    np.cumsum(counts, axis=1, out=counts)
-    return counts, bins
 
 
 @dataclass(frozen=True)

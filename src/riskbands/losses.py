@@ -6,6 +6,10 @@ orientation. Includes the multi-label classification losses (false negative /
 false positive / false discovery proportions and prediction-set size), exact
 orientation validation, and the monotonization and batching transforms that
 restore monotonicity for nearly-monotone losses.
+
+Each row of a generated loss is a step function of t with one jump per class
+or batch draw; ``_step_counts`` builds both kinds from the jumps' grid bins, and
+the generator's matrices keep theirs: ``values == _step_counts(_steps, m) / K``.
 """
 
 from __future__ import annotations
@@ -21,10 +25,6 @@ UNCONSTRAINED = "unconstrained"
 ORIENTATIONS = (NONINCREASING, NONDECREASING, UNCONSTRAINED)
 
 LOSS_KINDS = ("FNP", "FPP", "FDP", "SetSize")
-
-# Column-block size used when materializing prediction tensors, to keep the
-# intermediate n x K x block boolean array small.
-_GRID_BLOCK = 256
 
 # Row-block size of validate's scans: 512 rows of a 1000-point grid is a 4 MB
 # difference block, where the whole matrix would be n x (m - 1).
@@ -80,19 +80,19 @@ class LossMatrix:
     bootstrap computed for this matrix (see ``bootstrap._deviations``); the
     values are read-only, so the entry stays valid for the matrix's lifetime.
 
-    ``_steps`` is ``(bins, K)`` on the matrices the equicorrelated generator
-    realizes and ``None`` on every other: a read-only n x K integer array and
-    the batch size K, with ``values[i, j] == #{k : bins[i, k] <= j} / K``, so
-    each row is a step function that rises by 1/K at each of its bins (a bin
-    of m lies past the grid). The bootstrap reads it instead of the dense
-    values (see ``bootstrap._step_deviations``).
+    ``_steps`` is the jump bins on the matrices the equicorrelated generator
+    realizes and ``None`` on every other: a read-only n x K integer array,
+    K the batch size, with ``values == _step_counts(_steps, m) / K``, so each
+    row is a step function that rises by 1/K at each of its bins (a bin of m
+    lies past the grid). The bootstrap reads it instead of the dense values
+    (see ``bootstrap._step_deviations``).
     """
 
     grid: ParameterGrid
     values: np.ndarray
     orientation: str = UNCONSTRAINED
     _replicates: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _steps: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _steps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -101,12 +101,11 @@ class LossMatrix:
 
     @classmethod
     def _owning(cls, grid: ParameterGrid, values: np.ndarray, orientation: str,
-                steps: tuple | None = None) -> "LossMatrix":
+                steps: np.ndarray | None = None) -> "LossMatrix":
         """A matrix that takes over ``values``, an array nobody else holds.
 
         The constructor's checks, without its copy: the array itself is made
-        read-only and kept. ``steps`` becomes ``_steps`` (its bins are made
-        read-only too).
+        read-only and kept. ``steps`` becomes ``_steps``, made read-only too.
         """
         v = np.asarray(values, dtype=float)
         self = cls.__new__(cls)
@@ -116,7 +115,7 @@ class LossMatrix:
         self._check(v)
         v.flags.writeable = False
         if steps is not None:
-            steps[0].flags.writeable = False
+            steps.flags.writeable = False
         return self
 
     def _check(self, v: np.ndarray) -> None:
@@ -144,6 +143,23 @@ class LossMatrix:
     @property
     def m(self) -> int:
         return int(self.values.shape[1])
+
+
+def _step_counts(bins: np.ndarray, m: int) -> np.ndarray:
+    """#{k : bins[i, k] <= j} as an n x m float array; a bin of m or more lies past the grid.
+
+    One scatter per column of ``bins`` (its rows are distinct), then a
+    cumulative sum in place: no n x K x m tensor is formed, and the counts
+    are exact.
+    """
+    n = bins.shape[0]
+    counts = np.zeros((n, m))
+    rows = np.arange(n)
+    for col in bins.T:
+        inside = col < m
+        counts[rows[inside], col[inside]] += 1.0
+    np.cumsum(counts, axis=1, out=counts)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -185,7 +201,6 @@ class ValidationReport:
     """
 
     passed: bool
-    kind: str | None = None  # 'orientation' on failure
     first_row: int | None = None
     first_col: int | None = None
     message: str = "ok"
@@ -209,7 +224,7 @@ def validate(matrix: LossMatrix, tolerance: float = 0.0) -> ValidationReport:
         if bad.any():
             r, c = np.argwhere(bad)[0]
             r, c = start + int(r), int(c) + 1
-            return ValidationReport(False, "orientation", r, c,
+            return ValidationReport(False, r, c,
                                     f"row {r} violates {matrix.orientation} at column {c}")
     return ValidationReport(True)
 
@@ -232,29 +247,26 @@ def threshold_losses(panel: BinaryScorePanel, grid: ParameterGrid, kind: str) ->
         raise ValueError("classification grids must lie in [0, 1]")
 
     scores, labels = panel.scores, panel.labels
-    n, K = scores.shape
+    m, K = len(grid), scores.shape[1]
     pos = labels == 1
-    n_pos = pos.sum(axis=1)
-    denom_pos = np.maximum(1, n_pos).astype(float)[:, None]
-    denom_neg = np.maximum(1, K - n_pos).astype(float)[:, None]
-
-    out = np.empty((n, len(grid)))
-    cutoffs = 1.0 - t
-    for start in range(0, len(grid), _GRID_BLOCK):
-        stop = min(start + _GRID_BLOCK, len(grid))
-        preds = scores[:, :, None] > cutoffs[None, None, start:stop]  # (n, K, block)
-        if kind == "FNP":
-            miss = (~preds) & pos[:, :, None]
-            out[:, start:stop] = miss.sum(axis=1) / denom_pos
-        elif kind == "FPP":
-            fp = preds & (~pos)[:, :, None]
-            out[:, start:stop] = fp.sum(axis=1) / denom_neg
-        elif kind == "FDP":
-            fp = preds & (~pos)[:, :, None]
-            sel = np.maximum(1, preds.sum(axis=1)).astype(float)
-            out[:, start:stop] = fp.sum(axis=1) / sel
-        else:  # SetSize
-            out[:, start:stop] = preds.sum(axis=1) / float(K)
+    n_pos = pos.sum(axis=1)[:, None]
+    # class k is predicted from grid index bins[i, k] on: score > 1 - t with
+    # both sides negated, so that the cutoffs ascend; a bin sent to m is left out
+    bins = np.searchsorted(-(1.0 - t), -scores, "right")
+    if kind == "FNP":
+        out = _step_counts(np.where(pos, bins, m), m)
+        np.subtract(n_pos, out, out=out)
+        out /= np.maximum(1, n_pos)
+    elif kind == "SetSize":
+        out = _step_counts(bins, m)
+        out /= K
+    else:
+        out = _step_counts(np.where(pos, m, bins), m)
+        if kind == "FPP":
+            out /= np.maximum(1, K - n_pos)
+        else:  # FDP
+            selected = _step_counts(bins, m)
+            out /= np.maximum(selected, 1.0, out=selected)
 
     orientation = {
         "FNP": NONINCREASING,

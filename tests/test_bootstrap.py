@@ -157,8 +157,8 @@ class TestStepForm:
                 assert np.abs(got - want).max() <= 1e-12
 
     def test_draws_fall_past_both_ends(self):
-        bins, K = stepped(400, 5, 440)._steps
-        assert K == 5 and bins.shape == (400, 5)
+        bins = stepped(400, 5, 440)._steps
+        assert bins.shape == (400, 5)
         assert bins.min() == 0 and bins.max() == 23
 
     @pytest.mark.parametrize("batch_size", [1, 5])

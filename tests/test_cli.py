@@ -337,6 +337,13 @@ class TestEvalCommand:
         ({"methods": {"name": "nasm"}},
          """'methods' must be a list, not {"name": "nasm"}"""),
         ({"methods": ["nasm"]}, """each entry of 'methods' must be an object, not "nasm\""""),
+        ({"n": 1000.0}, "'n' must be an integer, not 1000.0"),
+        ({"n": "10"}, """'n' must be an integer, not "10\""""),
+        ({"runs": None}, "'runs' must be an integer, not null"),
+        ({"runs": 2.7}, "'runs' must be an integer, not 2.7"),
+        ({"r": None}, "'r' must be a number, not null"),
+        ({"metrics": None}, "'metrics' must be a list, not null"),
+        ({"metrics": "anywhere"}, """'metrics' must be a list, not "anywhere\""""),
     ])
     def test_wrong_value_type_is_refused(self, tmp_path, capsys, entries, message):
         code, prefix = self.run_descriptor(tmp_path, {

@@ -340,6 +340,18 @@ class TestPanelCsv:
         with pytest.raises(ParseError):
             read_panel(scores, labels)
 
+    @pytest.mark.parametrize("header", ["", "a,b,c\n"])
+    def test_ragged_row_names_its_line(self, tmp_path, header):
+        # a panel row is held to the first row's width, as a loss matrix row is
+        scores = tmp_path / "s.csv"
+        labels = tmp_path / "labels.csv"
+        scores.write_text(header + "0.9,0.4,0.1\n0.2,0.7\n")
+        labels.write_text("1,0,1\n0,1,1\n")
+        line = 2 + bool(header)
+        with pytest.raises(ParseError) as info:
+            read_panel(scores, labels)
+        assert str(info.value) == f"{scores}:{line}: row has 2 cells, expected 3"
+
 
 class TestBandCsv:
     def test_band_rows_and_sidecar(self, tmp_path):

@@ -143,10 +143,10 @@ class TestGenerator:
             assert np.array_equal(paired.values, primary)
             assert np.array_equal(paired_companion.values, companion)
             # the step form describes the values it came with
-            bins, K = matrix._steps
-            assert K == batch_size and not bins.flags.writeable
+            bins = matrix._steps
+            assert bins.shape == (n, batch_size) and not bins.flags.writeable
             counts = (bins[:, :, None] <= np.arange(len(grid))[None, None, :]).sum(axis=1)
-            assert np.array_equal(counts / K, primary)
+            assert np.array_equal(counts / batch_size, primary)
 
     def test_realize_holds_one_copy_of_the_matrix(self):
         # realize(2000) on the paper grid builds a 16 MB matrix, which keeps

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,7 +101,7 @@ class TestValidate:
         m = LossMatrix(grid(0.0, 1.0), [[0.5, 0.6]], "nonincreasing")
         report = validate(m)
         assert not report.passed
-        assert report.kind == "orientation"
+        assert report.message == "row 0 violates nonincreasing at column 1"
         assert (report.first_row, report.first_col) == (0, 1)
 
     def test_fdp_losses_fail_nonincreasing(self):
@@ -126,7 +128,7 @@ def reference_validate(matrix, tolerance=0.0):
     bad = diffs > tolerance if matrix.orientation == "nonincreasing" else diffs < -tolerance
     if bad.any():
         r, c = np.argwhere(bad)[0]
-        return ValidationReport(False, "orientation", int(r), int(c) + 1,
+        return ValidationReport(False, int(r), int(c) + 1,
                                 f"row {r} violates {matrix.orientation} at column {c + 1}")
     return ValidationReport(True)
 
@@ -222,6 +224,80 @@ class TestThresholdLosses:
         assert validate(fnp).passed
         fpp = threshold_losses(panel, ParameterGrid.linspace(0.0, 1.0, 17), "FPP")
         assert validate(fpp).passed
+
+
+def reference_threshold_losses(panel, grid, kind):
+    """The (n, K, m) prediction-tensor form that threshold_losses must match bit for bit."""
+    scores, pos = panel.scores, panel.labels == 1
+    K = scores.shape[1]
+    n_pos = pos.sum(axis=1)
+    preds = scores[:, :, None] > (1.0 - grid.values)[None, None, :]
+    fp = (preds & ~pos[:, :, None]).sum(axis=1)
+    if kind == "FNP":
+        miss = (~preds & pos[:, :, None]).sum(axis=1)
+        return miss / np.maximum(1, n_pos).astype(float)[:, None]
+    if kind == "FPP":
+        return fp / np.maximum(1, K - n_pos).astype(float)[:, None]
+    if kind == "FDP":
+        return fp / np.maximum(1, preds.sum(axis=1)).astype(float)
+    return preds.sum(axis=1) / float(K)
+
+
+def random_panel(rng, n, K, t):
+    """Scores with exact 0s, 1s and 1 - t[j] ties; rows with no and with all positives."""
+    scores = rng.random((n, K))
+    draw = rng.random((n, K))
+    scores[draw < 0.1] = 0.0
+    scores[(draw >= 0.1) & (draw < 0.2)] = 1.0
+    tied = (draw >= 0.2) & (draw < 0.4)
+    scores[tied] = (1.0 - t)[rng.integers(0, t.size, tied.sum())]
+    labels = (rng.random((n, K)) < rng.random()).astype(int)
+    labels[0] = 0
+    labels[-1] = 1
+    return BinaryScorePanel(scores, labels)
+
+
+class TestThresholdLossesStepForm:
+    GRIDS = {
+        "one-point": np.array([0.5]),
+        "unit-ends": np.linspace(0.0, 1.0, 11),
+        "random": np.sort(np.random.default_rng(1).random(300)),
+        # 1 - t rounds to 1.0 at every point: the cutoffs tie
+        "tied-cutoffs": np.arange(8) * 1e-17,
+    }
+
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    @pytest.mark.parametrize("grid_name", sorted(GRIDS))
+    @pytest.mark.parametrize("n, K", [(1, 1), (1, 6), (9, 1), (40, 7)])
+    def test_bit_identical_to_the_tensor_form(self, kind, grid_name, n, K):
+        t = self.GRIDS[grid_name]
+        rng = np.random.default_rng([n, K, t.size])
+        g = ParameterGrid(t)
+        for _ in range(5):
+            panel = random_panel(rng, n, K, t)
+            got = threshold_losses(panel, g, kind).values
+            want = reference_threshold_losses(panel, g, kind)
+            assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("kind, factor", [
+        ("FNP", 1.25), ("FPP", 1.25), ("SetSize", 1.25), ("FDP", 2.25)])
+    def test_peak_memory_is_about_the_output(self, kind, factor):
+        # an n x m output and, for FDP only, one n x m count array beside it:
+        # no n x K x m tensor and no copy
+        rng = np.random.default_rng(2)
+        panel = BinaryScorePanel(rng.random((2000, 5)), rng.integers(0, 2, (2000, 5)))
+        g = ParameterGrid.linspace(0.0, 1.0, 1000)
+        threshold_losses(panel, ParameterGrid.linspace(0.0, 1.0, 3), kind)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = threshold_losses(panel, g, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.values.nbytes == 16_000_000
+        assert peak - before <= factor * out.values.nbytes
 
 
 def _panel():
