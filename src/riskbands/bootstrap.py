@@ -35,7 +35,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .bounds import ConfidenceBand, SIDES
+from .bounds import SIDES, ConfidenceBand, _fixed_width_band
 from .empirical import IndexSet, empirical_risk
 from .losses import LossMatrix, _frozen
 
@@ -82,6 +82,11 @@ class SeedRecord:
                 "scheme": self.scheme, "algorithm": self.algorithm}
 
 
+def _seed_record(seed: SeedRecord | int) -> SeedRecord:
+    """``seed`` itself, or the record of an int master seed."""
+    return SeedRecord(seed) if isinstance(seed, int) else seed
+
+
 @dataclass(frozen=True)
 class BootstrapSupDistribution:
     """Sorted supremum statistics from B replicates, with full provenance."""
@@ -124,7 +129,7 @@ def conservative_quantile(sorted_values: np.ndarray, delta: float) -> float:
     This finite-B convention keeps the exceedance probability of the returned
     value at most delta (up to Monte Carlo error), which the plain empirical
     quantile does not guarantee. When B < (1-delta)/delta, k is clamped to B
-    (see ``quantile_clamped``).
+    (see ``_clamped_note``).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -141,14 +146,15 @@ def _order_index(b: int, delta: float) -> int:
     return math.ceil((b + 1) * (1.0 - delta) - 1e-9)
 
 
-def quantile_clamped(B: int, delta: float) -> bool:
-    """Whether B replicates are too few for the conservative 1-delta quantile.
+def _clamped_note(B: int, *deltas: float) -> tuple[str, ...]:
+    """The ``quantile-clamped`` note when B replicates are too few for any
+    of the conservative 1-delta quantiles.
 
     Then ``conservative_quantile`` returns the sample maximum, whose
-    exceedance probability can reach 1/(B+1) > delta; bands built from such
-    a quantile carry the ``quantile-clamped`` note.
+    exceedance probability can reach 1/(B+1) > delta.
     """
-    return _order_index(int(B), delta) > int(B)
+    clamped = any(_order_index(int(B), delta) > int(B) for delta in deltas)
+    return ("quantile-clamped",) if clamped else ()
 
 
 def _signed_sups(g: np.ndarray, sign: str) -> np.ndarray:
@@ -304,6 +310,13 @@ def sup_distribution(
     return BootstrapSupDistribution(values, B, sign, subset, seed)
 
 
+def _sup_quantile(matrix: LossMatrix, subset: IndexSet | None, sign: str, delta: float,
+                  B: int, seed: SeedRecord, workers: int) -> float:
+    """Conservative 1-delta quantile of the bootstrap suprema over ``subset``."""
+    dist = sup_distribution(matrix, subset, sign, B, seed, workers=workers)
+    return conservative_quantile(dist.sorted_values, delta)
+
+
 def rr_band(
     matrix: LossMatrix,
     delta: float,
@@ -320,30 +333,14 @@ def rr_band(
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
-    if isinstance(seed, int):
-        seed = SeedRecord(seed)
+    seed = _seed_record(seed)
     curve = empirical_risk(matrix)
-    n = matrix.n
     full = IndexSet.full(matrix.grid)
     sign = {"upper": "minus", "lower": "plus", "two-sided": "two-sided"}[side]
-    dist = sup_distribution(matrix, full, sign, B, seed, workers=workers)
-    q = conservative_quantile(dist.sorted_values, delta)
-    width = q / math.sqrt(n)
-    upper = curve.values + width if side in ("upper", "two-sided") else None
-    lower = curve.values - width if side in ("lower", "two-sided") else None
-    return ConfidenceBand(
-        grid=matrix.grid,
-        lower=lower,
-        upper=upper,
-        validity=full,
-        delta=delta,
-        method="rr",
-        width_info=width,
-        sample_size=n,
-        simultaneous=True,
-        notes=("quantile-clamped",) if quantile_clamped(B, delta) else (),
-        info={"B": B, "q_hat": q, "side": side, "seed": seed.as_dict()},
-    )
+    q = _sup_quantile(matrix, full, sign, delta, B, seed, workers)
+    return _fixed_width_band(curve, q / math.sqrt(matrix.n), side, delta, "rr", full,
+                             _clamped_note(B, delta),
+                             {"B": B, "q_hat": q, "side": side, "seed": seed.as_dict()})
 
 
 @dataclass(frozen=True)
@@ -379,8 +376,7 @@ def suggest_b(
     ``rel_tol * q_boot`` or the hard cap 2**20 is reached. A zero bootstrap
     quantile (degenerate matrix) short-circuits with a zero-width flag.
     """
-    if isinstance(seed, int):
-        seed = SeedRecord(seed)
+    seed = _seed_record(seed)
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}")
     if initial_b < 100:

@@ -107,6 +107,23 @@ def tail_bound(lam: float) -> float:
     return math.e * math.exp(-2.0 * lam * lam)
 
 
+def _fixed_width_band(curve: RiskCurve, width: float, side: str, delta: float, method: str,
+                      validity: IndexSet, notes: tuple[str, ...], info: dict) -> ConfidenceBand:
+    """curve + width, curve - width or both, by ``side``: every fixed-width band."""
+    return ConfidenceBand(
+        grid=curve.grid,
+        lower=curve.values - width if side in ("lower", "two-sided") else None,
+        upper=curve.values + width if side in ("upper", "two-sided") else None,
+        validity=validity,
+        delta=delta,
+        method=method,
+        width_info=width,
+        sample_size=curve.sample_size,
+        notes=notes,
+        info=info,
+    )
+
+
 def nasm_band(curve: RiskCurve, delta: float, side: str = "upper") -> ConfidenceBand:
     """Uniform fixed-width band around an empirical curve.
 
@@ -119,20 +136,8 @@ def nasm_band(curve: RiskCurve, delta: float, side: str = "upper") -> Confidence
     if n < 1:
         raise ValueError("analytic curves (sample_size 0) cannot be banded")
     width = nasm_width(n, delta if side != "two-sided" else delta / 2.0)
-    upper = curve.values + width if side in ("upper", "two-sided") else None
-    lower = curve.values - width if side in ("lower", "two-sided") else None
-    return ConfidenceBand(
-        grid=curve.grid,
-        lower=lower,
-        upper=upper,
-        validity=IndexSet.full(curve.grid),
-        delta=delta,
-        method="nasm",
-        width_info=width,
-        sample_size=n,
-        simultaneous=True,
-        info={"side": side},
-    )
+    return _fixed_width_band(curve, width, side, delta, "nasm", IndexSet.full(curve.grid), (),
+                             {"side": side})
 
 
 def _wsr_lambdas(losses: np.ndarray, delta: float) -> np.ndarray:

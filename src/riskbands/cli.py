@@ -27,13 +27,14 @@ import os
 import secrets
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio
-from .bootstrap import SeedRecord, suggest_b, sup_distribution
+from .bootstrap import SIGNS, SeedRecord, suggest_b, sup_distribution
+from .bounds import SIDES
 from .compose import combine, selective_ratio_upper
 from .empirical import empirical_risk, sublevel_set
 from .harness import (
@@ -48,7 +49,7 @@ from .harness import (
     surrogate_generator,
 )
 from .losses import ORIENTATIONS, UNCONSTRAINED, ParameterGrid, threshold_losses
-from .selection import select_elbow, select_even_tradeoff
+from .selection import SCHEMES, select_elbow, select_even_tradeoff
 
 EXIT_OK = 0
 EXIT_PARSE = 3
@@ -70,50 +71,71 @@ def _resolve_seed(value: int | None) -> SeedRecord:
     return SeedRecord(value)
 
 
-_METHOD_PARAMS = tuple(f.name for f in fields(MethodSpec))[1:]  # each a --flag
+_REQUIRED = object()  # the default of a key that must be given
 
-_DESCRIPTOR_KEYS = ("generator", "methods", "n", "runs", "seed", "metrics", "r", "scheme",
-                    "trace")
-
-# generator keys each family reads, besides "family"
-_FAMILY_KEYS = {
-    "equicorrelated": ("grid", "rho", "batch_size", "tradeoff_shift"),
-    "constant": ("grid", "value"),
-    "panel-surrogate": ("grid", "scores", "labels", "kind", "tradeoff_kind"),
-    "matrix-surrogate": ("path", "orientation"),
+# Each descriptor object's keys: key -> (JSON kind, default). A kind is a JSON
+# type (float: any number), [kind] a nonempty list of that kind, (kind, [kind])
+# one entry or a list of them, read as a list. A null stands for a null default.
+_GRID = {"low": (float, _REQUIRED), "high": (float, _REQUIRED), "size": (int, _REQUIRED)}
+_FAMILIES = {
+    "equicorrelated": {"grid": (dict, None), "rho": (float, 0.2), "batch_size": (int, 5),
+                       "tradeoff_shift": (float, 1.0)},
+    "constant": {"grid": (dict, None), "value": (float, 0.5)},
+    "panel-surrogate": {"grid": (dict, None), "scores": (str, _REQUIRED),
+                        "labels": (str, _REQUIRED), "kind": (str, "FNP"),
+                        "tradeoff_kind": (str, None)},
+    "matrix-surrogate": {"path": (str, _REQUIRED), "orientation": (str, UNCONSTRAINED)},
 }
-
-
-def _refuse_unknown(entry: dict, known, where: str) -> None:
-    unknown = sorted(set(entry) - set(known))
-    if unknown:
-        raise ValueError(f"unknown key(s) {unknown} in {where}")
-
-
-def _required(entry: dict, key: str, where: str):
-    if key not in entry:
-        raise ValueError(f"missing key {key!r} in {where}")
-    return entry[key]
-
+_METHOD = {f.name: (str, _REQUIRED) if f.default is MISSING else (type(f.default), f.default)
+           for f in fields(MethodSpec)}
+_METHOD_PARAMS = tuple(_METHOD)[1:]  # each a --flag of band and simulate
+_DESCRIPTOR = {"generator": (dict, {}), "methods": ([dict], [{"name": "rr"}]),
+               "n": ((int, [int]), [1000]), "runs": (int, 1000), "seed": (int, None),
+               "metrics": ([str], ["anywhere"]), "r": (float, MethodSpec.r),
+               "scheme": (str, "even-tradeoff"), "trace": (bool, False)}
 
 _JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
-               float: "a number"}
+               float: "a number", bool: "a boolean"}
 
 
-def _typed(value, kind: type, what: str):
-    """``value`` when it is a JSON ``kind`` (float: any number; a boolean is neither)."""
+def _typed(value, kind, what: str):
+    """``value`` when it is of JSON ``kind`` (see ``_DESCRIPTOR``); a boolean is only a bool."""
+    if isinstance(kind, tuple):
+        lone = not isinstance(value, list)
+        return [_typed(value, kind[0], what)] if lone else _typed(value, kind[1], what)
+    if isinstance(kind, list):
+        if not _typed(value, list, what):
+            raise ValueError(f"{what} must be a nonempty list, not []")
+        return [_typed(v, kind[0], f"each entry of {what}") for v in value]
     types = (int, float) if kind is float else kind
-    if not isinstance(value, types) or isinstance(value, bool):
+    if not isinstance(value, types) or isinstance(value, bool) != (kind is bool):
         raise ValueError(f"{what} must be {_JSON_NAMES[kind]}, not {json.dumps(value)}")
     return value
+
+
+def _read(obj, table: dict, what: str, where: str) -> dict:
+    """Every key of ``table``, from the JSON object ``obj`` or by default.
+
+    Refused: a non-object, a key not in the table, a missing required key and
+    a value of the wrong kind.
+    """
+    unknown = sorted(set(_typed(obj, dict, what)) - set(table))
+    if unknown:
+        raise ValueError(f"unknown key(s) {unknown} in {where}")
+    out = {}
+    for key, (kind, default) in table.items():
+        if key not in obj and default is _REQUIRED:
+            raise ValueError(f"missing key {key!r} in {where}")
+        value = obj.get(key, default)
+        out[key] = None if value is None and default is None else _typed(value, kind, repr(key))
+    return out
 
 
 def _add_method_args(parser) -> None:
     parser.add_argument("--method", required=True, choices=METHOD_NAMES)
     for name in _METHOD_PARAMS:
-        default = getattr(MethodSpec, name)
-        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=type(default),
-                            default=default)
+        kind, default = _METHOD[name]
+        parser.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, default=default)
 
 
 def _method_spec(args) -> MethodSpec:
@@ -198,76 +220,64 @@ def cmd_suggest_b(args) -> int:
     return EXIT_OK
 
 
-def _generator_from_config(cfg: dict) -> GeneratorSpec:
-    _typed(cfg, dict, "'generator'")
-    family = cfg.get("family", "equicorrelated")
+def _generator_from_config(cfg) -> GeneratorSpec:
+    family = _typed(_typed(cfg, dict, "'generator'").get("family", "equicorrelated"), str,
+                    "'family'")
     if family == EQUICORRELATED:
         family = "equicorrelated"
-    if family not in _FAMILY_KEYS:
+    if family not in _FAMILIES:
         raise ValueError(f"unknown generator family {family!r}")
-    _refuse_unknown(cfg, ("family", *_FAMILY_KEYS[family]), f"generator {cfg}")
+    g = _read(cfg, {"family": (str, family), **_FAMILIES[family]}, "'generator'",
+              f"generator {cfg}")
     if family == "matrix-surrogate":
-        matrix = fileio.read_loss_matrix(_required(cfg, "path", f"generator {cfg}"),
-                                         cfg.get("orientation", UNCONSTRAINED))
-        return surrogate_generator(matrix, label="matrix")
-    grid_cfg = cfg.get("grid")
-    if grid_cfg is not None:
-        _typed(grid_cfg, dict, "'grid'")
-        grid = ParameterGrid.linspace(*(_required(grid_cfg, key, f"grid {grid_cfg}")
-                                        for key in ("low", "high", "size")))
+        return surrogate_generator(fileio.read_loss_matrix(g["path"], g["orientation"]),
+                                   label="matrix")
+    if g["grid"] is not None:
+        grid = ParameterGrid.linspace(*_read(g["grid"], _GRID, "'grid'",
+                                             f"grid {g['grid']}").values())
     elif family == "panel-surrogate":
         grid = default_classification_grid()
     else:
         grid = default_synthetic_grid()
     if family == "equicorrelated":
-        return GeneratorSpec(EQUICORRELATED, grid, rho=cfg.get("rho", 0.2),
-                             batch_size=cfg.get("batch_size", 5),
-                             tradeoff_shift=cfg.get("tradeoff_shift", 1.0))
+        return GeneratorSpec(EQUICORRELATED, grid, rho=g["rho"], batch_size=g["batch_size"],
+                             tradeoff_shift=g["tradeoff_shift"])
     if family == "constant":
-        return GeneratorSpec(CONSTANT, grid, value=cfg.get("value", 0.5))
-    panel = fileio.read_panel(*(_required(cfg, key, f"generator {cfg}")
-                                for key in ("scores", "labels")))
-    kind = cfg.get("kind", "FNP")
-    matrix = threshold_losses(panel, grid, kind)
+        return GeneratorSpec(CONSTANT, grid, value=g["value"])
+    panel = fileio.read_panel(g["scores"], g["labels"])
+    matrix = threshold_losses(panel, grid, g["kind"])
     companion = None
-    if "tradeoff_kind" in cfg:
-        companion = threshold_losses(panel, grid, cfg["tradeoff_kind"])
-    return surrogate_generator(matrix, companion=companion, label=f"panel:{kind}")
+    if g["tradeoff_kind"] is not None:
+        companion = threshold_losses(panel, grid, g["tradeoff_kind"])
+    return surrogate_generator(matrix, companion=companion, label=f"panel:{g['kind']}")
 
 
-def _method_from_entry(entry: dict, r: float) -> MethodSpec:
-    _refuse_unknown(entry, ("name", *_METHOD_PARAMS), f"method entry {entry}")
-    if "name" not in entry:
-        raise ValueError(f"method entry {entry} has no 'name'")
-    return MethodSpec(**{"r": r, **entry})
-
-
-def _run_experiment(desc: dict, seed: SeedRecord, workers: int, prefix: Path,
-                    header: dict) -> list:
+def _run_experiment(raw, seed: int | None, workers: int, prefix: Path, header: dict) -> list:
     """Run a descriptor and write its metrics CSV/JSON (and trace) at ``prefix``.
 
-    Each sample size is one run-major pass over every method and metric, so
-    the cells share one realization per run and one band per (method, run).
-    Reports come out in method -> n -> metric order.
+    The descriptor's own seed, when it has one, replaces ``seed``. Each sample
+    size is one run-major pass over every method and metric, so the cells
+    share one realization per run and one band per (method, run). Reports
+    come out in method -> n -> metric order.
     """
-    spec = _generator_from_config(desc.get("generator", {}))
-    runs = _typed(desc.get("runs", 1000), int, "'runs'")
-    n_list = desc.get("n", [1000])
-    n_list = [_typed(n, int, "'n'") for n in (n_list if isinstance(n_list, list) else [n_list])]
-    metrics = [_typed(name, str, "each entry of 'metrics'")
-               for name in _typed(desc.get("metrics", ["anywhere"]), list, "'metrics'")]
-    r = float(_typed(desc.get("r", MethodSpec.r), float, "'r'"))
-    scheme = desc.get("scheme", "even-tradeoff")
-    entries = _typed(desc.get("methods", [{"name": "rr"}]), list, "'methods'")
-    methods = [_method_from_entry(_typed(mc, dict, "each entry of 'methods'"), r)
-               for mc in entries]
+    desc = _read(raw, _DESCRIPTOR, "the descriptor", "descriptor")
+    r = float(desc["r"])
+    # a method entry's r defaults to the descriptor's
+    method_table = {**_METHOD, "r": (float, r)}
+    methods = [MethodSpec(**_read(entry, method_table, "each entry of 'methods'",
+                                  f"method entry {entry}")) for entry in desc["methods"]]
+    seed = _resolve_seed(seed if desc["seed"] is None else desc["seed"])
+    header["seed"] = seed.as_dict()
+    spec = _generator_from_config(desc["generator"])
+    n_list, metrics = desc["n"], desc["metrics"]
 
     by_n = []
     for n in n_list:
         t0 = time.perf_counter()
         traces = []
-        by_n.append((run_metrics(methods, spec, n, runs, seed, metrics, r=r,
-                                 scheme=scheme, workers=workers, traces=traces), traces))
+        by_n.append((run_metrics(methods, spec, n, desc["runs"], seed, metrics, r=r,
+                                 scheme=desc["scheme"], workers=workers, traces=traces),
+                     traces))
         print(f"n={n}: {len(methods)} method(s) x {len(metrics)} metric(s) "
               f"({time.perf_counter() - t0:.1f}s)", file=sys.stderr)
     reports, traces = [], {}
@@ -280,7 +290,7 @@ def _run_experiment(desc: dict, seed: SeedRecord, workers: int, prefix: Path,
                       f"se={rep.std_error:.3g}", file=sys.stderr)
     fileio.write_metrics_csv(reports, prefix.with_suffix(".csv"))
     fileio.write_metrics_json(reports, prefix.with_suffix(".json"), header=header)
-    if desc.get("trace", False):
+    if desc["trace"]:
         fileio.write_json(prefix.with_suffix(".trace.json"), traces, indent=1)
     return reports
 
@@ -296,7 +306,6 @@ def _exit_code(reports: list) -> int:
 
 
 def cmd_simulate(args) -> int:
-    seed = _resolve_seed(args.seed)
     gen_cfg = {"family": args.family}
     if args.family == "equicorrelated":
         gen_cfg["rho"] = args.rho
@@ -306,9 +315,8 @@ def cmd_simulate(args) -> int:
     desc = {"generator": gen_cfg, "n": [args.n], "runs": args.runs, "r": args.r,
             "scheme": args.scheme, "metrics": [m.strip() for m in args.metric.split(",")],
             "methods": [asdict(_method_spec(args))]}
-    reports = _run_experiment(desc, seed, args.workers, Path(args.output_prefix), header={
+    reports = _run_experiment(desc, args.seed, args.workers, Path(args.output_prefix), header={
         "command": "simulate",
-        "seed": seed.as_dict(),
         "workers_hint": args.workers,
     })
     for rep in reports:
@@ -322,13 +330,10 @@ def cmd_eval(args) -> int:
         desc = json.loads(desc_path.read_text())
     except json.JSONDecodeError as exc:
         raise fileio.ParseError(f"{desc_path}: invalid JSON ({exc})") from None
-    _refuse_unknown(_typed(desc, dict, "the descriptor"), _DESCRIPTOR_KEYS, "descriptor")
-    seed = _resolve_seed(desc.get("seed", args.seed))
     prefix = Path(args.output_prefix)
-    reports = _run_experiment(desc, seed, args.workers, prefix, header={
+    reports = _run_experiment(desc, args.seed, args.workers, prefix, header={
         "command": "eval",
         "descriptor": str(desc_path),
-        "seed": seed.as_dict(),
     })
     print(f"{len(reports)} report(s) written to {prefix.with_suffix('.csv')}")
     return _exit_code(reports)
@@ -363,7 +368,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_dump_sups(args) -> int:
-    matrix = fileio.read_loss_matrix(args.input, orientation=args.orientation)
+    matrix = fileio.read_loss_matrix(args.input)
     seed = _resolve_seed(args.seed)
     dist = sup_distribution(matrix, None, args.sign, args.B, seed,
                             workers=args.workers)
@@ -383,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--orientation", choices=ORIENTATIONS, default=UNCONSTRAINED)
-    p.add_argument("--side", choices=("upper", "lower", "two-sided"), default="upper")
+    p.add_argument("--side", choices=SIDES, default="upper")
     _add_method_args(p)
     _add_common(p)
     p.set_defaults(func=cmd_band)
@@ -391,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="choose a threshold trading off two risks")
     p.add_argument("--loss", required=True)
     p.add_argument("--tradeoff", required=True)
-    p.add_argument("--scheme", choices=("even-tradeoff", "elbow"), default="even-tradeoff")
+    p.add_argument("--scheme", choices=SCHEMES, default="even-tradeoff")
     p.add_argument("--constraint-r", dest="constraint_r", type=float, default=0.1)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_select)
@@ -400,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--initial-b", dest="initial_b", type=int, default=1000)
-    p.add_argument("--sign", choices=("plus", "minus", "two-sided"), default="minus")
+    p.add_argument("--sign", choices=SIGNS, default="minus")
     p.add_argument("--output", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_suggest_b)
@@ -412,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, required=True)
     p.add_argument("--metric", default="anywhere",
                    help="comma-separated subset of anywhere,selected,conservatism")
-    p.add_argument("--scheme", choices=("even-tradeoff", "elbow"), default="even-tradeoff")
+    p.add_argument("--scheme", choices=SCHEMES, default="even-tradeoff")
     p.add_argument("--grid-low", type=float, default=-3.0)
     p.add_argument("--grid-high", type=float, default=3.0)
     p.add_argument("--grid-size", type=int, default=0,
@@ -441,8 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump-sups", help="dump the sorted bootstrap supremum distribution")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--orientation", choices=ORIENTATIONS, default=UNCONSTRAINED)
-    p.add_argument("--sign", choices=("plus", "minus", "two-sided"), default="minus")
+    p.add_argument("--sign", choices=SIGNS, default="minus")
     p.add_argument("--B", type=int, default=1000)
     _add_common(p)
     p.set_defaults(func=cmd_dump_sups)

@@ -100,8 +100,8 @@ def combine(
         info["scan_resolution"] = scan_info
     return ConfidenceBand(
         grid=grid,
-        lower=np.clip(lower, 0.0, 1.0),
-        upper=np.clip(upper, 0.0, 1.0),
+        lower=lower,
+        upper=upper,
         validity=validity,
         delta=delta,
         method="composed",
@@ -137,11 +137,10 @@ def selective_ratio_upper(
         floor = 1.0 / (2.0 * num.sample_size)
     if not floor > 0.0:
         raise ValueError("floor must be positive")
-    upper = np.minimum(1.0, num.upper / np.maximum(den.lower, floor))
     return ConfidenceBand(
         grid=num.grid,
         lower=None,
-        upper=upper,
+        upper=num.upper / np.maximum(den.lower, floor),
         validity=num.validity.intersect(den.validity),
         delta=num.delta + den.delta,
         method="composed",

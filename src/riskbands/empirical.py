@@ -10,9 +10,8 @@ from .losses import LossMatrix, ParameterGrid, _frozen
 
 FULL_GRID = "full-grid"
 SUBLEVEL = "sublevel"
-ADJUSTED_SUBLEVEL = "adjusted-sublevel"
 CUSTOM = "custom"
-PROVENANCES = (FULL_GRID, SUBLEVEL, ADJUSTED_SUBLEVEL, CUSTOM)
+PROVENANCES = (FULL_GRID, SUBLEVEL, CUSTOM)
 
 
 @dataclass(frozen=True)
@@ -90,5 +89,5 @@ def empirical_risk(matrix: LossMatrix) -> RiskCurve:
 
 
 def sublevel_set(curve: RiskCurve, r: float) -> IndexSet:
-    """Grid indices where the curve is at most r."""
+    """Grid indices where the curve is at most r: the one place a curve meets a level."""
     return IndexSet.from_mask(curve.values <= r, SUBLEVEL)

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bootstrap import SeedRecord, _map, conservative_quantile, rr_band
+from .bootstrap import SeedRecord, _map, _seed_record, conservative_quantile, rr_band
 from .bounds import ConfidenceBand, nasm_band, wsr_band, wsr_rejects, wsr_upper
 from .empirical import empirical_risk, sublevel_set
 from .losses import NONDECREASING, NONINCREASING, LossMatrix, ParameterGrid, _step_counts
@@ -237,7 +237,7 @@ class MethodSpec:
         if self.name in ("rr", "rrr"):
             echo["B"] = self.B
         if self.name == "rrr":
-            echo.update({"r": self.r, "delta_glob": self.delta_glob,
+            echo.update({"method_r": self.r, "delta_glob": self.delta_glob,
                          "delta_loc": self.delta_loc})
         return echo
 
@@ -266,8 +266,7 @@ def oracle_sup_quantile(
     Simulated from the generator itself; this is the best achievable width of
     a fixed-width upper band at level delta, unscaled by sqrt(n).
     """
-    if isinstance(seed, int):
-        seed = SeedRecord(seed)
+    seed = _seed_record(seed)
     sups = np.empty(runs)
 
     def one(run: int) -> None:
@@ -346,8 +345,7 @@ def run_metrics(
     ``reports[i][j]`` for ``methods[i]`` and ``metrics[j]``; ``traces``, when
     given, is extended with the per-run records in the same nesting.
     """
-    if isinstance(seed, int):
-        seed = SeedRecord(seed)
+    seed = _seed_record(seed)
     runs = int(runs)
     if runs < 1:
         raise ValueError(f"need runs >= 1, got {runs}")

@@ -176,7 +176,8 @@ class BinaryScorePanel:
             raise ValueError("scores and labels must be 2-D arrays of identical shape")
         if s.size == 0:
             raise ValueError("panel must be nonempty")
-        if s.min() < 0.0 or s.max() > 1.0:
+        # False for a NaN score too, since min and max propagate it
+        if not (s.min() >= 0.0 and s.max() <= 1.0):
             raise ValueError("scores must lie in [0, 1]")
         if not np.isin(y, (0, 1)).all():
             raise ValueError("labels must be binary (0/1)")

@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bootstrap import SeedRecord, conservative_quantile, quantile_clamped, sup_distribution
-from .bounds import ConfidenceBand
-from .empirical import ADJUSTED_SUBLEVEL, IndexSet, RiskCurve, empirical_risk, sublevel_set
+from .bootstrap import SeedRecord, _clamped_note, _seed_record, _sup_quantile
+from .bounds import ConfidenceBand, _fixed_width_band
+from .empirical import IndexSet, RiskCurve, empirical_risk, sublevel_set
 from .losses import UNCONSTRAINED, LossMatrix, validate
 
 
@@ -40,8 +40,7 @@ class RRRConfig:
     B: int = 1000
 
     def __post_init__(self):
-        if isinstance(self.seed, int):
-            object.__setattr__(self, "seed", SeedRecord(self.seed))
+        object.__setattr__(self, "seed", _seed_record(self.seed))
         if not 0.0 <= self.r <= 1.0:
             raise ValueError("risk tolerance r must lie in [0, 1]")
         if not (0.0 < self.delta_glob < 1.0 and 0.0 < self.delta_loc < 1.0):
@@ -77,8 +76,8 @@ def _global_pass(matrix: LossMatrix, config: RRRConfig, workers: int):
     if not report.passed:
         raise ValueError(f"loss matrix fails validation: {report.message}")
     curve = empirical_risk(matrix)
-    dist = sup_distribution(matrix, None, "two-sided", config.B, config.seed, workers=workers)
-    return curve, conservative_quantile(dist.sorted_values, config.delta_glob)
+    return curve, _sup_quantile(matrix, None, "two-sided", config.delta_glob, config.B,
+                                config.seed, workers)
 
 
 def _local_pass(
@@ -90,37 +89,21 @@ def _local_pass(
     r_adjusted: float | None,
     workers: int,
 ) -> RRRResult:
-    n = matrix.n
-    sqrt_n = math.sqrt(n)
+    sqrt_n = math.sqrt(matrix.n)
     sub_set = sublevel_set(curve, level)
-    adjusted = IndexSet.from_mask(
-        curve.values <= level + 2.0 * q_glob / sqrt_n, ADJUSTED_SUBLEVEL
-    )
-
+    adjusted = sublevel_set(curve, level + 2.0 * q_glob / sqrt_n)
     # paired replicates: the global pass's deviations, restricted to the adjusted set
-    loc = sup_distribution(matrix, adjusted, "minus", config.B, config.seed, workers=workers)
-    q_loc = conservative_quantile(loc.sorted_values, config.delta_loc)
-
-    width = q_loc / sqrt_n
+    q_loc = _sup_quantile(matrix, adjusted, "minus", config.delta_loc, config.B, config.seed,
+                          workers)
     notes: tuple[str, ...] = ()
     if sub_set.is_empty:
         notes = ("empty-validity",)
     if r_adjusted is not None and r_adjusted < 0.0:
         notes = notes + ("negative-adjusted-level",)
-    if any(quantile_clamped(config.B, d) for d in (config.delta_glob, config.delta_loc)):
-        notes = notes + ("quantile-clamped",)
-    band = ConfidenceBand(
-        grid=matrix.grid,
-        lower=None,
-        upper=curve.values + width,
-        validity=sub_set,
-        delta=config.delta,
-        method="rrr",
-        width_info=width,
-        sample_size=n,
-        simultaneous=True,
-        notes=notes,
-        info={
+    band = _fixed_width_band(
+        curve, q_loc / sqrt_n, "upper", config.delta, "rrr", sub_set,
+        notes + _clamped_note(config.B, config.delta_glob, config.delta_loc),
+        {
             "B": config.B,
             "r": config.r,
             "r_adjusted": r_adjusted,

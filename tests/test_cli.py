@@ -344,6 +344,23 @@ class TestEvalCommand:
         ({"r": None}, "'r' must be a number, not null"),
         ({"metrics": None}, "'metrics' must be a list, not null"),
         ({"metrics": "anywhere"}, """'metrics' must be a list, not "anywhere\""""),
+        ({"generator": {"family": "equicorrelated", "rho": "0.2"}},
+         """'rho' must be a number, not "0.2\""""),
+        ({"generator": {"family": "constant", "value": None}}, "'value' must be a number, not null"),
+        ({"generator": {"family": "constant", "grid": {"low": 0.0, "high": 1.0, "size": 20.5}}},
+         "'size' must be an integer, not 20.5"),
+        ({"generator": {"family": "constant", "grid": {"low": "a", "high": 1.0, "size": 5}}},
+         """'low' must be a number, not "a\""""),
+        ({"methods": [{"name": "nasm", "delta": "0.1"}]}, """'delta' must be a number, not "0.1\""""),
+        ({"generator": {"family": "equicorrelated", "batch_size": 2.5}},
+         "'batch_size' must be an integer, not 2.5"),
+        ({"methods": [{"name": "rr", "B": 10.5}]}, "'B' must be an integer, not 10.5"),
+        ({"methods": [{"name": "rr", "B": "100"}]}, """'B' must be an integer, not "100\""""),
+        ({"trace": "yes"}, """'trace' must be a boolean, not "yes\""""),
+        ({"seed": "7"}, """'seed' must be an integer, not "7\""""),
+        ({"n": []}, "'n' must be a nonempty list, not []"),
+        ({"methods": []}, "'methods' must be a nonempty list, not []"),
+        ({"metrics": []}, "'metrics' must be a nonempty list, not []"),
     ])
     def test_wrong_value_type_is_refused(self, tmp_path, capsys, entries, message):
         code, prefix = self.run_descriptor(tmp_path, {
@@ -402,7 +419,7 @@ class TestEvalCommand:
             "methods": [{"delta": 0.1}], "n": [10], "runs": 2, "seed": 2})
         assert code == 5
         err = capsys.readouterr().err
-        assert "error[domain]: method entry {'delta': 0.1} has no 'name'" in err
+        assert "error[domain]: missing key 'name' in method entry {'delta': 0.1}" in err
         assert not prefix.with_suffix(".csv").exists()
 
     def test_one_row_surrogate_base_is_refused(self, tmp_path, capsys):
@@ -415,6 +432,32 @@ class TestEvalCommand:
         assert code == 5
         assert "error[domain]: a surrogate base needs at least two rows" in capsys.readouterr().err
         assert not prefix.with_suffix(".csv").exists()
+
+    def test_nan_score_is_a_parse_error(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        labels = tmp_path / "labels.csv"
+        scores.write_text("0.9,0.4\nnan,0.7\n0.2,0.1\n")
+        labels.write_text("1,0\n0,1\n1,1\n")
+        code, prefix = self.run_descriptor(tmp_path, {
+            "generator": {"family": "panel-surrogate", "scores": str(scores),
+                          "labels": str(labels), "grid": {"low": 0.0, "high": 1.0, "size": 5}},
+            "methods": [{"name": "nasm"}], "n": [4], "runs": 2, "seed": 2})
+        assert code == 3
+        assert "scores must lie in [0, 1]" in capsys.readouterr().err
+        assert not prefix.with_suffix(".csv").exists()
+
+    def test_rrr_config_echoes_both_r(self, tmp_path):
+        code, prefix = self.run_descriptor(tmp_path, {
+            "generator": {"family": "equicorrelated",
+                          "grid": {"low": -3.0, "high": 3.0, "size": 20}},
+            "methods": [{"name": "rrr", "r": 0.3, "B": 32}, {"name": "nasm"}], "n": [40],
+            "runs": 2, "seed": 2, "r": 0.2, "metrics": ["anywhere", "selected"]})
+        assert code == 0
+        configs = [(rep["metric"], rep["config"])
+                   for rep in json.loads(prefix.with_suffix(".json").read_text())["reports"]]
+        assert [(metric, cfg.get("r"), cfg.get("method_r")) for metric, cfg in configs] == [
+            ("miscoverage-anywhere", None, 0.3), ("miscoverage-selected", 0.2, 0.3),
+            ("miscoverage-anywhere", None, None), ("miscoverage-selected", 0.2, None)]
 
     def test_invalid_descriptor_json(self, tmp_path):
         bad = tmp_path / "bad.json"

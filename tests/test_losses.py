@@ -211,6 +211,12 @@ class TestThresholdLosses:
         assert threshold_losses(_panel(), _cgrid(), "SetSize").orientation == "nondecreasing"
         assert threshold_losses(_panel(), _cgrid(), "FDP").orientation == "unconstrained"
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5])
+    def test_score_outside_unit_interval_rejected(self, bad):
+        # a NaN fails the range test too: it would read as a class never predicted
+        with pytest.raises(ValueError, match=r"scores must lie in \[0, 1\]"):
+            BinaryScorePanel([[bad, 0.5]], [[1, 0]])
+
     def test_grid_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
             threshold_losses(_panel(), grid(-0.5, 0.5), "FNP")

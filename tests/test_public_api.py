@@ -24,6 +24,17 @@ def test_every_public_name_is_in_the_readme_api_list():
     assert sorted(set(riskbands.__all__) - listed) == []
 
 
+def test_every_descriptor_key_is_in_the_readme_descriptor_section():
+    from riskbands import cli
+
+    text = README.read_text()
+    section = text.split("### Experiment descriptor", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"`([\w-]+)`", section))
+    names = {*cli._DESCRIPTOR, *cli._GRID, *cli._METHOD, *cli._FAMILIES}
+    names.update(*cli._FAMILIES.values())
+    assert sorted(names - listed) == []
+
+
 def _load_tracing():
     """The benchmark's tracer module, loaded from its file as the benchmark has it."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

@@ -10,6 +10,7 @@ from riskbands import (
     empirical_risk,
     rrr_band,
     rrr_band_population,
+    sublevel_set,
     sup_distribution,
 )
 
@@ -60,6 +61,20 @@ class TestRRRBand:
             m = nonincreasing_matrix(seed)
             result = rrr_band(m, config(seed, r=0.5, B=128))
             assert result.sublevel.issubset(result.adjusted)
+
+    @pytest.mark.parametrize("fn", [rrr_band, rrr_band_population])
+    def test_every_set_is_a_sublevel_set_of_the_curve(self, fn):
+        # validity and adjusted set both come from sublevel_set, at the level
+        # and at the level inflated by 2 q_glob / sqrt(n)
+        for seed in range(4):
+            m = nonincreasing_matrix(seed)
+            result = fn(m, config(seed, r=0.5, B=128))
+            curve = empirical_risk(m)
+            level = result.r if result.r_adjusted is None else result.r_adjusted
+            inflated = sublevel_set(curve, level + 2.0 * result.q_glob / np.sqrt(m.n))
+            assert np.array_equal(result.sublevel.indices, sublevel_set(curve, level).indices)
+            assert np.array_equal(result.adjusted.indices, inflated.indices)
+            assert result.adjusted.provenance == result.sublevel.provenance == "sublevel"
 
     def test_upsets_for_nonincreasing_curve(self):
         m = nonincreasing_matrix(3)
