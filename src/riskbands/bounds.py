@@ -33,11 +33,12 @@ class ConfidenceBand:
     """Fixed-width per-grid-point bounds with a validity subset.
 
     Either side may be absent for one-sided bands. Present sides are clamped
-    to [0, 1]. ``validity`` is the set of grid indices on which the stated
-    coverage guarantee applies; ``simultaneous`` records whether the guarantee
-    is joint over that set or only per-point. ``width_info`` is the additive
-    half-width where the band is of the form curve +/- width. ``info`` echoes
-    method-specific parameters for reproducibility.
+    to [0, 1], and a side holding a NaN is refused. ``validity`` is the set of
+    grid indices on which the stated coverage guarantee applies;
+    ``simultaneous`` records whether the guarantee is joint over that set or
+    only per-point. ``width_info`` is the additive half-width where the band
+    is of the form curve +/- width. ``info`` echoes method-specific
+    parameters for reproducibility.
     """
 
     grid: ParameterGrid
@@ -65,6 +66,8 @@ class ConfidenceBand:
             side = np.asarray(side, dtype=float)
             if side.shape != (m,):
                 raise ValueError(f"{name} band must have one value per grid point")
+            if np.isnan(side.min()):  # min propagates NaN; no mask is made
+                raise ValueError(f"{name} band must not be NaN")
             object.__setattr__(self, name, _frozen(np.clip(side, 0.0, 1.0)))
         if self.lower is None and self.upper is None:
             raise ValueError("at least one side must be present")

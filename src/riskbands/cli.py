@@ -48,7 +48,7 @@ from .harness import (
     run_metrics,
     surrogate_generator,
 )
-from .losses import ORIENTATIONS, UNCONSTRAINED, ParameterGrid, threshold_losses
+from .losses import LOSS_KINDS, ORIENTATIONS, UNCONSTRAINED, ParameterGrid, threshold_losses
 from .selection import SCHEMES, select_elbow, select_even_tradeoff
 
 EXIT_OK = 0
@@ -94,6 +94,10 @@ _DESCRIPTOR = {"generator": (dict, {}), "methods": ([dict], [{"name": "rr"}]),
                "metrics": ([str], ["anywhere"]), "r": (float, MethodSpec.r),
                "scheme": (str, "even-tradeoff"), "trace": (bool, False)}
 
+# The keys, in any table, whose string must be one of a fixed set of names.
+_CHOICES = {"scheme": SCHEMES, "orientation": ORIENTATIONS, "kind": LOSS_KINDS,
+            "tradeoff_kind": LOSS_KINDS}
+
 _JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
                float: "a number", bool: "a boolean"}
 
@@ -116,8 +120,8 @@ def _typed(value, kind, what: str):
 def _read(obj, table: dict, what: str, where: str) -> dict:
     """Every key of ``table``, from the JSON object ``obj`` or by default.
 
-    Refused: a non-object, a key not in the table, a missing required key and
-    a value of the wrong kind.
+    Refused: a non-object, a key not in the table, a missing required key, a
+    value of the wrong kind and a name outside its key's ``_CHOICES``.
     """
     unknown = sorted(set(_typed(obj, dict, what)) - set(table))
     if unknown:
@@ -128,6 +132,9 @@ def _read(obj, table: dict, what: str, where: str) -> dict:
             raise ValueError(f"missing key {key!r} in {where}")
         value = obj.get(key, default)
         out[key] = None if value is None and default is None else _typed(value, kind, repr(key))
+        if key in _CHOICES and out[key] not in (None, *_CHOICES[key]):
+            raise ValueError(f"{key!r} must be one of {list(_CHOICES[key])}, "
+                             f"not {json.dumps(value)}")
     return out
 
 
@@ -252,15 +259,22 @@ def _generator_from_config(cfg) -> GeneratorSpec:
     return surrogate_generator(matrix, companion=companion, label=f"panel:{g['kind']}")
 
 
-def _run_experiment(raw, seed: int | None, workers: int, prefix: Path, header: dict) -> list:
+def _run_experiment(raw, seed: int | None, workers: int, prefix: Path, header: dict,
+                    inputs: tuple = ()) -> list:
     """Run a descriptor and write its metrics CSV/JSON (and trace) at ``prefix``.
 
     The descriptor's own seed, when it has one, replaces ``seed``. Each sample
     size is one run-major pass over every method and metric, so the cells
     share one realization per run and one band per (method, run). Reports
-    come out in method -> n -> metric order.
+    come out in method -> n -> metric order. An output that is one of
+    ``inputs`` or a file the generator names is refused before any run.
     """
     desc = _read(raw, _DESCRIPTOR, "the descriptor", "descriptor")
+    named = [desc["generator"].get(key) for key in ("path", "scores", "labels")]
+    sources = {os.path.realpath(p) for p in (*inputs, *named) if isinstance(p, (str, Path))}
+    for out in (prefix.with_suffix(suffix) for suffix in (".csv", ".json", ".trace.json")):
+        if os.path.realpath(out) in sources:
+            raise ValueError(f"output {out} would overwrite an input of the experiment")
     r = float(desc["r"])
     # a method entry's r defaults to the descriptor's
     method_table = {**_METHOD, "r": (float, r)}
@@ -334,7 +348,7 @@ def cmd_eval(args) -> int:
     reports = _run_experiment(desc, args.seed, args.workers, prefix, header={
         "command": "eval",
         "descriptor": str(desc_path),
-    })
+    }, inputs=(desc_path,))
     print(f"{len(reports)} report(s) written to {prefix.with_suffix('.csv')}")
     return _exit_code(reports)
 
@@ -357,8 +371,8 @@ def cmd_compose(args) -> int:
             if not args.weights:
                 raise ValueError("weighted-sum needs --weights w1,w2,...")
             weights = np.array([float(w) for w in args.weights.split(",")])
-            if len(weights) != k or (weights < 0).any():
-                raise ValueError("need one nonnegative weight per input band")
+            if len(weights) != k or not (np.isfinite(weights) & (weights >= 0)).all():
+                raise ValueError("need one finite, nonnegative weight per input band")
         psi = lambda *parts: sum(w * p for w, p in zip(weights, parts))
         band = combine(bands, psi, psi_monotonicity=["increasing"] * k)
         seedless_extra["weights"] = weights.tolist()

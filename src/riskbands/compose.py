@@ -9,13 +9,38 @@ general psi a bracketing grid scan over the box is used instead.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .bounds import ConfidenceBand
-from .empirical import CUSTOM, IndexSet
+from .empirical import IndexSet
+
+
+def _composed(comps: Sequence[ConfidenceBand], lower: np.ndarray | None, upper: np.ndarray,
+              notes: tuple[str, ...], info: dict) -> ConfidenceBand:
+    """A band over the components' grid, from sides the caller derived from theirs.
+
+    Validity is the intersection of the component validity sets, the budget
+    the sum of theirs, the sample size their common one (else 0), and the
+    band is simultaneous when every component is.
+    """
+    grid = comps[0].grid
+    sizes = {b.sample_size for b in comps}
+    return ConfidenceBand(
+        grid=grid,
+        lower=lower,
+        upper=upper,
+        validity=reduce(IndexSet.intersect, (b.validity for b in comps), IndexSet.full(grid)),
+        delta=float(sum(b.delta for b in comps)),
+        method="composed",
+        sample_size=sizes.pop() if len(sizes) == 1 else 0,
+        simultaneous=all(b.simultaneous for b in comps),
+        notes=notes,
+        info=info,
+    )
 
 
 def _box_sides(band: ConfidenceBand, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -47,16 +72,10 @@ def combine(
     grid = comps[0].grid
     if any(b.grid != grid for b in comps[1:]):
         raise ValueError("component bands must share a grid")
-    delta = float(sum(b.delta for b in comps))
-    if delta >= 1.0:
+    if sum(b.delta for b in comps) >= 1.0:
         raise ValueError("component error budgets must sum below 1")
     k = len(comps)
     m = len(grid)
-
-    validity = comps[0].validity
-    for b in comps[1:]:
-        validity = validity.intersect(b.validity)
-    validity = IndexSet(validity.indices, CUSTOM)
 
     lows, highs = zip(*(_box_sides(b, m) for b in comps))
 
@@ -68,7 +87,7 @@ def combine(
         lo_args = [l if f == "increasing" else h for f, l, h in zip(flags, lows, highs)]
         upper = np.asarray(psi(*up_args), dtype=float)
         lower = np.asarray(psi(*lo_args), dtype=float)
-        scan_info = None
+        method_info = {"psi_monotonicity": list(flags)}
     else:
         s = int(scan_resolution)
         if s < 2:
@@ -81,7 +100,7 @@ def combine(
             vals = np.asarray(psi(*(axes[i][c] for i, c in enumerate(combo))), dtype=float)
             np.maximum(upper, vals, out=upper)
             np.minimum(lower, vals, out=lower)
-        scan_info = s
+        method_info = {"scan_resolution": s}
 
     notes: tuple[str, ...] = ()
     if upper.shape != (m,) or lower.shape != (m,):
@@ -89,28 +108,9 @@ def combine(
     if (upper > 1.0 + 1e-12).any() or (lower < -1e-12).any():
         notes = ("psi-output-clamped",)
 
-    sizes = {b.sample_size for b in comps}
-    info = {
-        "component_deltas": [b.delta for b in comps],
-        "component_methods": [b.method for b in comps],
-    }
-    if psi_monotonicity is not None:
-        info["psi_monotonicity"] = list(psi_monotonicity)
-    else:
-        info["scan_resolution"] = scan_info
-    return ConfidenceBand(
-        grid=grid,
-        lower=lower,
-        upper=upper,
-        validity=validity,
-        delta=delta,
-        method="composed",
-        width_info=None,
-        sample_size=sizes.pop() if len(sizes) == 1 else 0,
-        simultaneous=all(b.simultaneous for b in comps),
-        notes=notes,
-        info=info,
-    )
+    info = {"component_deltas": [b.delta for b in comps],
+            "component_methods": [b.method for b in comps], **method_info}
+    return _composed(comps, lower, upper, notes, info)
 
 
 def selective_ratio_upper(
@@ -137,16 +137,5 @@ def selective_ratio_upper(
         floor = 1.0 / (2.0 * num.sample_size)
     if not floor > 0.0:
         raise ValueError("floor must be positive")
-    return ConfidenceBand(
-        grid=num.grid,
-        lower=None,
-        upper=num.upper / np.maximum(den.lower, floor),
-        validity=num.validity.intersect(den.validity),
-        delta=num.delta + den.delta,
-        method="composed",
-        width_info=None,
-        sample_size=num.sample_size if num.sample_size == den.sample_size else 0,
-        simultaneous=num.simultaneous and den.simultaneous,
-        info={"ratio_floor": floor,
-              "component_deltas": [num.delta, den.delta]},
-    )
+    return _composed((num, den), None, num.upper / np.maximum(den.lower, floor), (),
+                     {"ratio_floor": floor, "component_deltas": [num.delta, den.delta]})

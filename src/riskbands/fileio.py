@@ -1,8 +1,9 @@
 """CSV and JSON serialization for matrices, panels, bands and reports.
 
 All numbers are written with full round-trip precision and parsed as plain
-decimal floating point; no locale-dependent formats. Band CSVs carry one row
-per grid point (t, lower, upper, in_validity) with a JSON metadata sidecar.
+decimal floating point; no locale-dependent formats. Loss-matrix and panel
+CSVs share one reader, ``_read_table``. Band CSVs carry one row per grid
+point (t, lower, upper, in_validity) with a JSON metadata sidecar.
 """
 
 from __future__ import annotations
@@ -84,31 +85,39 @@ def _write_rows(path, header, rows) -> None:
         fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
-def read_loss_matrix(path, orientation: str = UNCONSTRAINED) -> LossMatrix:
-    """Loss matrix CSV: header row of grid values, one data row per sample.
+def _read_table(path: Path, label_row: bool) -> np.ndarray:
+    """A numeric CSV read once (pipes work), numpy first, else row by row.
 
-    The file is read once, so pipes and other one-shot inputs work; only an
-    undecodable file is opened again, for the row reader's own error.
+    Only an undecodable file is opened again, for the row reader's own error.
+    ``label_row`` (a panel) skips a leading non-numeric row; without it (a
+    loss matrix) the table needs a grid row and a sample row.
     """
-    path = Path(path)
     try:
         with path.open(newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError:
         with path.open(newline="") as fh:
-            table = _read_loss_rows(path, fh)
-    else:
-        table = _numpy_table(text)
-        if table is None or table.shape[0] < 2:
-            table = _read_loss_rows(path, io.StringIO(text, newline=""))
-    try:
-        return LossMatrix(ParameterGrid(table[0]), table[1:], orientation)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+            return _parse_table(list(_csv_rows(fh)), path, label_row)
+    table = _numpy_table(text)
+    # a one-row loss matrix goes row by row too, for that reader's message
+    if table is None or (table.shape[0] < 2 and not label_row):
+        table = _parse_table(list(_csv_rows(io.StringIO(text, newline=""))), path, label_row)
+    return table
 
 
-def _parse_table(rows, path) -> np.ndarray:
+def _parse_table(rows, path, label_row: bool) -> np.ndarray:
     """``_csv_rows`` pairs as floats, each row as wide as the first; names the bad line."""
+    if label_row:
+        if not rows:
+            raise ParseError(f"{path}: empty file")
+        try:
+            [float(c) for c in rows[0][1]]
+        except ValueError:
+            rows = rows[1:]
+        if not rows:
+            raise ParseError(f"{path}: no data rows")
+    elif len(rows) < 2:
+        raise ParseError(f"{path}: need a grid header row and at least one sample row")
     width = len(rows[0][1])
     data = []
     for i, row in rows:
@@ -119,12 +128,14 @@ def _parse_table(rows, path) -> np.ndarray:
     return np.array(data)
 
 
-def _read_loss_rows(path: Path, lines) -> np.ndarray:
-    """Row-by-row parse of a loss matrix CSV that names the first bad line."""
-    rows = list(_csv_rows(lines))
-    if len(rows) < 2:
-        raise ParseError(f"{path}: need a grid header row and at least one sample row")
-    return _parse_table(rows, path)
+def read_loss_matrix(path, orientation: str = UNCONSTRAINED) -> LossMatrix:
+    """Loss matrix CSV: header row of grid values, one data row per sample."""
+    path = Path(path)
+    table = _read_table(path, label_row=False)
+    try:
+        return LossMatrix._owning(ParameterGrid(table[0]), table[1:], orientation)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def write_loss_matrix(matrix: LossMatrix, path) -> None:
@@ -132,26 +143,10 @@ def write_loss_matrix(matrix: LossMatrix, path) -> None:
                 (map(repr, row.tolist()) for row in matrix.values))
 
 
-def _read_numeric_table(path) -> np.ndarray:
-    """Headerless numeric CSV; a leading non-numeric row is skipped."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(_csv_rows(fh))
-    if not rows:
-        raise ParseError(f"{path}: empty file")
-    try:
-        [float(c) for c in rows[0][1]]
-    except ValueError:
-        rows = rows[1:]
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    return _parse_table(rows, path)
-
-
 def read_panel(scores_path, labels_path) -> BinaryScorePanel:
     """Paired K-column CSVs of model scores and binary labels."""
-    scores = _read_numeric_table(scores_path)
-    labels = _read_numeric_table(labels_path)
+    scores = _read_table(Path(scores_path), label_row=True)
+    labels = _read_table(Path(labels_path), label_row=True)
     try:
         return BinaryScorePanel(scores, labels)
     except ValueError as exc:

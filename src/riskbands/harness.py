@@ -13,7 +13,7 @@ surrogate truth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -173,14 +173,7 @@ class MetricsReport:
             raise ValueError("probability estimates must lie in [0, 1]")
 
     def as_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "estimate": self.estimate,
-            "runs": self.runs,
-            "std_error": self.std_error,
-            "config": dict(self.config),
-            "extra": dict(self.extra),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -233,7 +226,9 @@ class MethodSpec:
         return bool(exceeds.any())
 
     def config_echo(self) -> dict:
-        echo = {"method": self.name, "delta": self.delta}
+        # rrr's budget is its two parts' sum, as its band records it; it never reads delta
+        delta = self.delta_glob + self.delta_loc if self.name == "rrr" else self.delta
+        echo = {"method": self.name, "delta": delta}
         if self.name in ("rr", "rrr"):
             echo["B"] = self.B
         if self.name == "rrr":
@@ -352,9 +347,9 @@ def run_metrics(
     for metric in metrics:
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}")
-    paired = "conservatism" in metrics
-    if paired and scheme not in SCHEMES:
+    if scheme not in SCHEMES:
         raise ValueError("scheme must be 'even-tradeoff' or 'elbow'")
+    paired = "conservatism" in metrics
     select = select_even_tradeoff if scheme == "even-tradeoff" else select_elbow
     needs_curve = paired or "selected" in metrics
     needs_band = any(metric != "conservatism" for metric in metrics)

@@ -361,6 +361,18 @@ class TestEvalCommand:
         ({"n": []}, "'n' must be a nonempty list, not []"),
         ({"methods": []}, "'methods' must be a nonempty list, not []"),
         ({"metrics": []}, "'metrics' must be a nonempty list, not []"),
+        # a name outside its key's choices, refused before any input file is read
+        ({"scheme": "bogus"}, """'scheme' must be one of ['even-tradeoff', 'elbow'], not "bogus\""""),
+        ({"generator": {"family": "matrix-surrogate", "path": "missing.csv",
+                        "orientation": "bogus"}},
+         "'orientation' must be one of ['nonincreasing', 'nondecreasing', 'unconstrained'], "
+         """not "bogus\""""),
+        ({"generator": {"family": "panel-surrogate", "scores": "missing.csv",
+                        "labels": "missing.csv", "kind": "bogus"}},
+         """'kind' must be one of ['FNP', 'FPP', 'FDP', 'SetSize'], not "bogus\""""),
+        ({"generator": {"family": "panel-surrogate", "scores": "missing.csv",
+                        "labels": "missing.csv", "tradeoff_kind": "bogus"}},
+         """'tradeoff_kind' must be one of ['FNP', 'FPP', 'FDP', 'SetSize'], not "bogus\""""),
     ])
     def test_wrong_value_type_is_refused(self, tmp_path, capsys, entries, message):
         code, prefix = self.run_descriptor(tmp_path, {
@@ -404,7 +416,7 @@ class TestEvalCommand:
         assert [t["gap"] for t in traces["rrr_n100_conservatism"]] == [None] * 5
         # the other cells are those of the same eval without rrr
         descriptor["methods"].pop(1)
-        desc_path = tmp_path / "without_rrr.json"
+        desc_path = tmp_path / "without_rrr_descriptor.json"
         desc_path.write_text(json.dumps(descriptor))
         alone = tmp_path / "without_rrr"
         assert main(["eval", "--descriptor", str(desc_path),
@@ -458,6 +470,46 @@ class TestEvalCommand:
         assert [(metric, cfg.get("r"), cfg.get("method_r")) for metric, cfg in configs] == [
             ("miscoverage-anywhere", None, 0.3), ("miscoverage-selected", 0.2, 0.3),
             ("miscoverage-anywhere", None, None), ("miscoverage-selected", 0.2, None)]
+
+    def test_rrr_config_echoes_its_band_delta(self, tmp_path):
+        base, _ = GeneratorSpec(EQUICORRELATED, ParameterGrid.linspace(-3, 3, 20),
+                                rho=0.2).realize(60, SeedRecord(4))
+        base_path = tmp_path / "base.csv"
+        write_loss_matrix(base, base_path)
+        rrr = {"delta": 0.5, "delta_glob": 0.02, "delta_loc": 0.18, "B": 32}
+        code, prefix = self.run_descriptor(tmp_path, {
+            "generator": {"family": "matrix-surrogate", "path": str(base_path),
+                          "orientation": "nondecreasing"},
+            "methods": [{"name": "rrr", **rrr}], "n": [30], "runs": 2, "seed": 2})
+        assert code == 0
+        [report] = json.loads(prefix.with_suffix(".json").read_text())["reports"]
+        band_path = tmp_path / "band.csv"
+        assert main(["band", "--input", str(base_path), "--output", str(band_path),
+                     "--orientation", "nondecreasing", "--method", "rrr", "--seed", "2",
+                     *[f"--{key.replace('_', '-')}={value}" for key, value in rrr.items()]]) == 0
+        band_delta = json.loads((tmp_path / "band.csv.json").read_text())["delta"]
+        assert report["config"]["delta"] == band_delta == 0.02 + 0.18
+
+    @pytest.mark.parametrize("collision", ["descriptor", "scores"])
+    def test_output_that_overwrites_an_input_is_refused(self, tmp_path, capsys, collision):
+        scores, labels = tmp_path / "scores.csv", tmp_path / "labels.csv"
+        scores.write_text("0.9,0.4\n0.2,0.7\n0.3,0.5\n")
+        labels.write_text("1,0\n0,1\n1,1\n")
+        desc_path = tmp_path / "exp.json"
+        desc_path.write_text(json.dumps({
+            "generator": {"family": "panel-surrogate", "scores": str(scores),
+                          "labels": str(labels), "grid": {"low": 0.0, "high": 1.0, "size": 5}},
+            "methods": [{"name": "nasm"}], "n": [4], "runs": 2, "seed": 2}))
+        before = {path: path.read_bytes() for path in (desc_path, scores, labels)}
+        prefix = tmp_path / ("exp" if collision == "descriptor" else "scores")
+        code = main(["eval", "--descriptor", str(desc_path), "--output-prefix", str(prefix)])
+        assert code == 5
+        clash = prefix.with_suffix(".json" if collision == "descriptor" else ".csv")
+        assert capsys.readouterr().err == (
+            f"error[domain]: output {clash} would overwrite an input of the experiment\n")
+        assert {path: path.read_bytes() for path in before} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "labels.csv",
+                                                               "scores.csv"]
 
     def test_invalid_descriptor_json(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -77,6 +77,24 @@ class TestReadBand:
         with pytest.raises(ParseError, match=f":5: .*{message}"):
             read_band(path)
 
+    def test_nan_side_is_a_parse_error(self, tmp_path, capsys):
+        path, _ = make_band(tmp_path, "b.csv", None, [0.4, 0.5, 0.6])
+        path.write_text(path.read_text().replace("0.5,1", "nan,1"))
+        out = tmp_path / "sum.csv"
+        code = main(["compose", "--inputs", str(path), "--psi", "sum", "--output", str(out)])
+        assert code == 3
+        assert "upper band must not be NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_nan_side_is_refused(self, side):
+        grid = ParameterGrid.linspace(0.0, 1.0, 3)
+        sides = {"lower": np.array([0.1, 0.2, 0.3]), "upper": np.array([0.4, 0.5, 0.6])}
+        sides[side][1] = np.nan
+        with pytest.raises(ValueError, match=f"{side} band must not be NaN"):
+            ConfidenceBand(grid=grid, validity=IndexSet.full(grid), delta=0.1, method="rr",
+                           **sides)
+
 
 class TestComposeCommand:
     def test_ratio(self, tmp_path):
@@ -104,6 +122,18 @@ class TestComposeCommand:
         assert band.upper[0] == pytest.approx(0.5 * 0.2 + 0.5 * 0.3)
         assert band.lower[1] == pytest.approx(0.5 * 0.1 + 0.5 * 0.4)
         assert band.delta == pytest.approx(0.1)
+
+    @pytest.mark.parametrize("weights", ["nan,1", "inf,1", "1,-inf"])
+    def test_non_finite_weight_is_refused(self, tmp_path, capsys, weights):
+        b1, _ = make_band(tmp_path, "b1.csv", [0.1, 0.1], [0.2, 0.2], delta=0.04)
+        b2, _ = make_band(tmp_path, "b2.csv", [0.2, 0.4], [0.3, 0.5], delta=0.06)
+        out = tmp_path / "sum.csv"
+        code = main(["compose", "--inputs", str(b1), str(b2), "--psi", "weighted-sum",
+                     "--weights", weights, "--output", str(out)])
+        assert code == 5
+        assert capsys.readouterr().err == (
+            "error[domain]: need one finite, nonnegative weight per input band\n")
+        assert not out.exists() and not (tmp_path / "sum.csv.json").exists()
 
     def test_ratio_needs_two_bands(self, tmp_path):
         b1, _ = make_band(tmp_path, "b1.csv", [0.1, 0.1], [0.2, 0.2])

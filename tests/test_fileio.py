@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from riskbands import (
+    BinaryScorePanel,
     IndexSet,
     LossMatrix,
     ParameterGrid,
@@ -79,6 +80,8 @@ def outcome(read, path):
         return type(exc).__name__, str(exc)
     if isinstance(result, LossMatrix):
         return "ok", result.grid.values.tobytes(), result.values.tobytes(), result.values.shape
+    if isinstance(result, BinaryScorePanel):
+        return "ok", result.scores.tobytes(), result.labels.tobytes(), result.scores.shape
     return "ok", result.tobytes(), result.shape
 
 
@@ -187,6 +190,124 @@ class TestNumpyFirstReader:
         back = read_loss_matrix(path)
         assert np.array_equal(back.values, values)
         assert np.array_equal(back.grid.values, grid.values)
+
+
+def reference_read_table(path):
+    """The row-by-row panel table reader that read_panel must agree with.
+
+    A leading row that is not all numbers is skipped; rows are numbered by
+    the file line they start on.
+    """
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        line = 1
+        for row in reader:
+            if row:
+                rows.append((line, row))
+            line = reader.line_num + 1
+    if not rows:
+        raise ParseError(f"{path}: empty file")
+    try:
+        [float(cell) for cell in rows[0][1]]
+    except ValueError:
+        rows = rows[1:]
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    data = []
+    for i, row in rows:
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise ParseError(f"{path}:{i}: non-numeric cell ({exc})") from None
+        if len(values) != len(rows[0][1]):
+            raise ParseError(f"{path}:{i}: row has {len(values)} cells, expected {len(rows[0][1])}")
+        data.append(values)
+    return np.array(data)
+
+
+def reference_read_panel(scores_path, labels_path):
+    scores = reference_read_table(scores_path)
+    labels = reference_read_table(labels_path)
+    try:
+        return BinaryScorePanel(scores, labels)
+    except ValueError as exc:
+        raise ParseError(f"{scores_path} / {labels_path}: {exc}") from None
+
+
+# Panel tables beside the loss-matrix cases: headers, which the panel reader
+# skips, and cells numpy refuses but float() reads.
+PANEL_CASES = {
+    **CSV_CASES,
+    "header": "cat,dog,bird\n0.9,0.4,0.1\n0.2,0.7,0.6\n",
+    "header-crlf": "cat,dog\r\n0.9,0.4\r\n\r\n0.2,0.7\r\n",
+    "header-cr": "cat,dog\r0.9,0.4\r0.2,0.7\r",
+    "quoted-header": '"cat","dog"\n"0.9",0.4\n',
+    "header-only": "cat,dog\n",
+    "header-then-word": "cat,dog\n0.9,0.4\n0.2,dog\n",
+    "header-then-ragged": "cat,dog\n0.9,0.4\n0.2\n",
+    "underscore-fraction": "0.1_0,0.2\n0.3,0.4\n",
+    "numeric-first-row-of-another-width": "0.9,0.4,0.1\n0.2,0.7\n0.3,0.5\n",
+    "two-headers": "cat,dog\nbig,small\n0.9,0.4\n",
+}
+
+
+class TestPanelReader:
+    """``read_panel`` reads its tables with the loss-matrix reader: numpy first,
+    then row by row, with the arrays and messages of a plain row reader."""
+
+    def labels_for(self, path):
+        labels = path.with_name("labels.csv")
+        try:
+            shape = reference_read_table(path).shape
+        except ParseError:
+            shape = (1, 1)
+        labels.write_text("\n".join(",".join("1" for _ in range(shape[1]))
+                                     for _ in range(shape[0])) + "\n")
+        return labels
+
+    @pytest.mark.parametrize("name", sorted(PANEL_CASES))
+    def test_scores_agree_with_row_reader(self, tmp_path, name):
+        scores = tmp_path / "scores.csv"
+        scores.write_bytes(PANEL_CASES[name].encode())
+        labels = self.labels_for(scores)
+        assert (outcome(lambda p: read_panel(p, labels), scores)
+                == outcome(lambda p: reference_read_panel(p, labels), scores))
+
+    @pytest.mark.parametrize("text", ["0,1\n1,0\n", "a,b\r\n0,1\r\n1,0\r\n",
+                                      "0,1\r\r1,0\r", "0,2\n1,0\n", "a,b\n"])
+    def test_labels_agree_with_row_reader(self, tmp_path, text):
+        scores, labels = tmp_path / "scores.csv", tmp_path / "labels.csv"
+        scores.write_text("0.9,0.4\n0.2,0.7\n")
+        labels.write_bytes(text.encode())
+        assert (outcome(lambda p: read_panel(scores, p), labels)
+                == outcome(lambda p: reference_read_panel(scores, p), labels))
+
+    def test_undecodable_bytes_fail_as_before(self, tmp_path):
+        scores, labels = tmp_path / "scores.csv", tmp_path / "labels.csv"
+        scores.write_bytes(b"cat,dog\n0.9,0.4\n\xff0.2,0.7\n")
+        labels.write_text("1,0\n0,1\n")
+        got = outcome(lambda p: read_panel(p, labels), scores)
+        assert got == outcome(lambda p: reference_read_panel(p, labels), scores)
+        assert got[0] == "UnicodeDecodeError"
+
+    def test_plain_panel_skips_the_row_reader(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3)
+        scores_values = np.round(rng.random((60, 80)), 3)
+        labels_values = rng.integers(0, 2, (60, 80))
+        scores, labels = tmp_path / "scores.csv", tmp_path / "labels.csv"
+        scores.write_text("".join(",".join(map(repr, row)) + "\n"
+                                  for row in scores_values.tolist()))
+        labels.write_text("".join(",".join(map(str, row)) + "\r\n"
+                                  for row in labels_values.tolist()))
+
+        def refuse(*args):
+            raise AssertionError("plain panel parsed row by row")
+
+        monkeypatch.setattr(fileio, "_parse_row", refuse)
+        panel = read_panel(scores, labels)
+        assert panel.scores.tobytes() == scores_values.tobytes()
+        assert np.array_equal(panel.labels, labels_values)
 
 
 EOLS = {"lf": "\n", "crlf": "\r\n", "cr": "\r"}

@@ -314,6 +314,11 @@ class TestRunMetrics:
         with pytest.raises(ValueError, match="unknown metric"):
             run_metrics(self.METHODS, spec_for(0.2), 20, 2, 1, ["coverage"])
 
+    @pytest.mark.parametrize("metrics", [["anywhere"], ["selected"]])
+    def test_unknown_scheme_rejected_without_conservatism(self, metrics):
+        with pytest.raises(ValueError, match="scheme must be"):
+            run_metrics(self.METHODS, spec_for(0.2), 20, 2, 1, metrics, scheme="bogus")
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("scheme, select", [("even-tradeoff", select_even_tradeoff),
                                                 ("elbow", select_elbow)])
