@@ -56,13 +56,30 @@ EXIT_PARSE = 3
 EXIT_MISSING = 4
 EXIT_DOMAIN = 5
 
-def _default_workers() -> int:
+def _worker_count(text: str) -> int:
     # thread count only; never affects results
-    raw = os.environ.get("RISKBANDS_WORKERS", "1")
     try:
-        return max(1, int(raw))
+        value = int(text)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"need a positive integer (from --workers or RISKBANDS_WORKERS), not {text!r}")
+    return value
+
+
+def _with_sidecar(path) -> tuple[Path, Path]:
+    """A written file and the ``.json`` sidecar next to it."""
+    path = Path(path)
+    return path, path.with_suffix(path.suffix + ".json")
+
+
+def _refuse_overwrite(outputs, inputs, what: str = "command") -> None:
+    """Refuse, before any work, an output that resolves to one of ``inputs``."""
+    sources = {os.path.realpath(p) for p in inputs}
+    for out in outputs:
+        if os.path.realpath(out) in sources:
+            raise ValueError(f"output {out} would overwrite an input of the {what}")
 
 
 def _resolve_seed(value: int | None) -> SeedRecord:
@@ -152,11 +169,13 @@ def _method_spec(args) -> MethodSpec:
 def _add_common(parser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed; drawn from OS entropy (and echoed) if omitted")
-    parser.add_argument("--workers", type=int, default=_default_workers(),
+    parser.add_argument("--workers", type=_worker_count,
+                        default=os.environ.get("RISKBANDS_WORKERS", "1"),
                         help="thread count for replicate/run loops (results unaffected)")
 
 
 def cmd_band(args) -> int:
+    _refuse_overwrite(_with_sidecar(args.output), [args.input])
     matrix = fileio.read_loss_matrix(args.input, orientation=args.orientation)
     seed = _resolve_seed(args.seed)
     band = _method_spec(args).band(matrix, seed, side=args.side, workers=args.workers)
@@ -174,6 +193,8 @@ def cmd_band(args) -> int:
 
 
 def cmd_select(args) -> int:
+    out, sidecar = _with_sidecar(args.output)
+    _refuse_overwrite((out, sidecar), [args.loss, args.tradeoff])
     loss = fileio.read_loss_matrix(args.loss)
     tradeoff = fileio.read_loss_matrix(args.tradeoff)
     curve_l = empirical_risk(loss)
@@ -181,11 +202,10 @@ def cmd_select(args) -> int:
     constraint = sublevel_set(curve_l, args.constraint_r)
     picker = select_even_tradeoff if args.scheme == "even-tradeoff" else select_elbow
     result = picker(curve_l, curve_q, constraint)
-    out = Path(args.output)
     with out.open("w", newline="") as fh:
         fh.write("scheme,index,t,objective\n")
         fh.write(f"{result.scheme},{result.index},{result.t_value!r},{result.objective!r}\n")
-    fileio.write_json(out.with_suffix(out.suffix + ".json"), {
+    fileio.write_json(sidecar, {
         "command": "select",
         "scheme": result.scheme,
         "index": result.index,
@@ -202,6 +222,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_suggest_b(args) -> int:
+    _refuse_overwrite([args.output] if args.output else [], [args.input])
     matrix = fileio.read_loss_matrix(args.input)
     seed = _resolve_seed(args.seed)
     result = suggest_b(matrix, args.delta, seed, initial_b=args.initial_b,
@@ -267,19 +288,23 @@ def _run_experiment(raw, seed: int | None, workers: int, prefix: Path, header: d
     size is one run-major pass over every method and metric, so the cells
     share one realization per run and one band per (method, run). Reports
     come out in method -> n -> metric order. An output that is one of
-    ``inputs`` or a file the generator names is refused before any run.
+    ``inputs`` or a file the generator names, and two method entries with
+    one name (their cells would share a trace key), are refused before any run.
     """
     desc = _read(raw, _DESCRIPTOR, "the descriptor", "descriptor")
     named = [desc["generator"].get(key) for key in ("path", "scores", "labels")]
-    sources = {os.path.realpath(p) for p in (*inputs, *named) if isinstance(p, (str, Path))}
-    for out in (prefix.with_suffix(suffix) for suffix in (".csv", ".json", ".trace.json")):
-        if os.path.realpath(out) in sources:
-            raise ValueError(f"output {out} would overwrite an input of the experiment")
+    _refuse_overwrite([prefix.with_suffix(suffix) for suffix in (".csv", ".json", ".trace.json")],
+                      [*inputs, *(p for p in named if isinstance(p, str))], "experiment")
     r = float(desc["r"])
     # a method entry's r defaults to the descriptor's
     method_table = {**_METHOD, "r": (float, r)}
     methods = [MethodSpec(**_read(entry, method_table, "each entry of 'methods'",
                                   f"method entry {entry}")) for entry in desc["methods"]]
+    names = [method.name for method in methods]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"'methods' lists {name!r} more than once; "
+                             f"each method entry needs its own name")
     seed = _resolve_seed(seed if desc["seed"] is None else desc["seed"])
     header["seed"] = seed.as_dict()
     spec = _generator_from_config(desc["generator"])
@@ -354,6 +379,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compose(args) -> int:
+    # each input band is read with its sidecar
+    _refuse_overwrite(_with_sidecar(args.output),
+                      [p for path in args.inputs for p in _with_sidecar(path)])
     bands = [fileio.read_band(p) for p in args.inputs]
     seedless_extra = {"command": "compose", "psi": args.psi,
                       "inputs": [str(p) for p in args.inputs]}
@@ -382,11 +410,15 @@ def cmd_compose(args) -> int:
 
 
 def cmd_dump_sups(args) -> int:
+    out, sidecar = _with_sidecar(args.output)
+    _refuse_overwrite((out, sidecar), [args.input])
     matrix = fileio.read_loss_matrix(args.input)
     seed = _resolve_seed(args.seed)
     dist = sup_distribution(matrix, None, args.sign, args.B, seed,
                             workers=args.workers)
-    fileio.write_sup_distribution(dist, args.output)
+    fileio.write_sup_distribution(dist, out)
+    fileio.write_json(sidecar, {"command": "dump-sups", "input": str(args.input),
+                                "sign": args.sign, "B": args.B, "seed": seed.as_dict()})
     print(f"{args.B} supremum values written to {args.output}")
     return EXIT_OK
 

@@ -50,7 +50,10 @@ class GeneratorSpec:
 
     ``realize(n, seed)`` returns a fresh loss matrix plus the truth values it
     should be compared against (per-realization for custom generators such as
-    the holdout surrogate, fixed for the analytic families).
+    the holdout surrogate, fixed for the analytic families). A custom
+    generator is one ``draw_fn(n, seed, pair)`` returning the primary matrix,
+    its tradeoff companion when ``pair`` is true (``None`` when it has none),
+    and the truth.
     """
 
     family: str
@@ -59,8 +62,8 @@ class GeneratorSpec:
     batch_size: int = 5
     value: float = 0.5
     tradeoff_shift: float = 1.0
-    realize_fn: Callable[[int, SeedRecord], tuple[LossMatrix, np.ndarray]] | None = None
-    pair_fn: Callable[[int, SeedRecord], tuple[LossMatrix, LossMatrix, np.ndarray]] | None = None
+    draw_fn: Callable[[int, SeedRecord, bool],
+                      tuple[LossMatrix, LossMatrix | None, np.ndarray]] | None = None
     label: str = ""
     _cdf: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -81,8 +84,8 @@ class GeneratorSpec:
                 )
         if self.family == CONSTANT and not 0.0 <= self.value <= 1.0:
             raise ValueError("constant value must lie in [0, 1]")
-        if self.family == CUSTOM_FAMILY and self.realize_fn is None:
-            raise ValueError("custom generators need a realize_fn")
+        if self.family == CUSTOM_FAMILY and self.draw_fn is None:
+            raise ValueError("custom generators need a draw_fn")
 
     def truth_values(self) -> np.ndarray:
         if self.family == EQUICORRELATED:
@@ -103,12 +106,8 @@ class GeneratorSpec:
         return root_small * g + ((root_big - root_small) / b) * g.sum(axis=1, keepdims=True)
 
     def realize(self, n: int, seed: SeedRecord) -> tuple[LossMatrix, np.ndarray]:
-        n = int(n)
-        if n < 1:
-            raise ValueError("need n >= 1")
-        if self.family == CUSTOM_FAMILY:
-            return self.realize_fn(n, seed)
-        return self._analytic(n, seed, pair=False)[0], self.truth_values()
+        primary, _, truth = self._draw(n, seed, pair=False)
+        return primary, truth
 
     def realize_pair(self, n: int, seed: SeedRecord) -> tuple[LossMatrix, LossMatrix, np.ndarray]:
         """Loss matrix, an opposing (nonincreasing) companion, and the truth.
@@ -118,27 +117,29 @@ class GeneratorSpec:
         population risks is minimized strictly inside the grid. The primary
         matrix and truth are ``realize``'s at the same seed.
         """
+        primary, companion, truth = self._draw(n, seed, pair=True)
+        if companion is None:
+            raise ValueError("this generator has no tradeoff companion; "
+                             "use an analytic family or a draw_fn that returns one")
+        return primary, companion, truth
+
+    def _draw(self, n: int, seed: SeedRecord,
+              pair: bool) -> tuple[LossMatrix, LossMatrix | None, np.ndarray]:
+        # the primary matrix, with ``pair`` its companion (else None), and the
+        # truth; for the equicorrelated family both score one draw of the batches
         n = int(n)
-        if self.family == CUSTOM_FAMILY:
-            if self.pair_fn is None:
-                raise ValueError("this generator has no tradeoff companion; "
-                                 "supply a pair_fn or use an analytic family")
-            return self.pair_fn(n, seed)
         if n < 1:
             raise ValueError("need n >= 1")
-        primary, companion = self._analytic(n, seed, pair=True)
-        return primary, companion, self.truth_values()
-
-    def _analytic(self, n: int, seed: SeedRecord, pair: bool) -> list[LossMatrix]:
-        # the primary matrix, then with ``pair`` the companion; for the
-        # equicorrelated family both score one draw of the batches
+        if self.family == CUSTOM_FAMILY:
+            return self.draw_fn(n, seed, pair)
         m = len(self.grid)
+        companion = None
         if self.family == CONSTANT:
-            out = [LossMatrix._owning(self.grid, np.full((n, m), self.value), NONDECREASING)]
+            primary = LossMatrix._owning(self.grid, np.full((n, m), self.value), NONDECREASING)
             if pair:
-                out.append(LossMatrix._owning(self.grid, np.full((n, m), 1.0 - self.value),
-                                              NONINCREASING))
-            return out
+                companion = LossMatrix._owning(self.grid, np.full((n, m), 1.0 - self.value),
+                                               NONINCREASING)
+            return primary, companion, self.truth_values()
         z = self._draw_batches(n, seed.generator())
         K = z.shape[1]
         # the batch fraction of draws at or below each threshold: a step
@@ -146,13 +147,13 @@ class GeneratorSpec:
         bins = np.searchsorted(self.grid.values, z)
         values = _step_counts(bins, m)
         values /= K
-        out = [LossMatrix._owning(self.grid, values, NONDECREASING, steps=bins)]
+        primary = LossMatrix._owning(self.grid, values, NONDECREASING, steps=bins)
         if pair:
-            companion = _step_counts(np.searchsorted(self.grid.values + self.tradeoff_shift, z), m)
-            companion /= K
-            np.subtract(1.0, companion, out=companion)
-            out.append(LossMatrix._owning(self.grid, companion, NONINCREASING))
-        return out
+            values = _step_counts(np.searchsorted(self.grid.values + self.tradeoff_shift, z), m)
+            values /= K
+            np.subtract(1.0, values, out=values)
+            companion = LossMatrix._owning(self.grid, values, NONINCREASING)
+        return primary, companion, self.truth_values()
 
 
 @dataclass(frozen=True)
@@ -481,25 +482,17 @@ def surrogate_generator(
     if companion is not None and companion.n != base.n:
         raise ValueError("companion must cover the same rows as the base matrix")
 
-    def draw(n: int, seed: SeedRecord):
+    def draw(n: int, seed: SeedRecord, pair: bool):
         perm = seed.child(0).generator().permutation(base.n)
         half = base.n // 2
         hold_idx, samp_idx = perm[:half], perm[half:]
         rng = seed.child(1).generator()
-        picks = samp_idx[rng.integers(0, samp_idx.size, size=int(n))]
+        picks = samp_idx[rng.integers(0, samp_idx.size, size=n)]
         truth = np.clip(base.values[hold_idx].mean(axis=0), 0.0, 1.0)
-        return picks, LossMatrix._owning(base.grid, base.values[picks], base.orientation), truth
+        paired = None
+        if pair and companion is not None:
+            paired = LossMatrix._owning(companion.grid, companion.values[picks],
+                                        companion.orientation)
+        return LossMatrix._owning(base.grid, base.values[picks], base.orientation), paired, truth
 
-    def realize(n: int, seed: SeedRecord) -> tuple[LossMatrix, np.ndarray]:
-        _, primary, truth = draw(n, seed)
-        return primary, truth
-
-    def realize_pair(n: int, seed: SeedRecord):
-        picks, primary, truth = draw(n, seed)
-        paired = LossMatrix._owning(companion.grid, companion.values[picks],
-                                     companion.orientation)
-        return primary, paired, truth
-
-    return GeneratorSpec(CUSTOM_FAMILY, base.grid, realize_fn=realize,
-                         pair_fn=realize_pair if companion is not None else None,
-                         label=label)
+    return GeneratorSpec(CUSTOM_FAMILY, base.grid, draw_fn=draw, label=label)

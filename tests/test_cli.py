@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ from riskbands import (
     empirical_risk,
     nasm_width,
 )
-from riskbands.cli import main
+from riskbands.cli import build_parser, main
 from riskbands.fileio import read_loss_matrix, write_band, write_loss_matrix
 from riskbands.harness import EQUICORRELATED, METHOD_NAMES
 
@@ -170,6 +171,139 @@ class TestExitCodes:
                      "--output", str(tmp_path / "o.csv"),
                      "--method", "nasm", "--delta", "2.0"])
         assert code == 5
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_non_positive_or_non_integer_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                          matrix_csv, source, value):
+        path, _ = matrix_csv
+        argv = ["band", "--input", str(path), "--output", str(tmp_path / "o.csv"),
+                "--method", "nasm"]
+        if source == "flag":
+            argv += ["--workers", value]
+        else:
+            monkeypatch.setenv("RISKBANDS_WORKERS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"need a positive integer (from --workers or RISKBANDS_WORKERS), not '{value}'" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_flag_overrides_the_environment(self, tmp_path, monkeypatch, matrix_csv):
+        path, _ = matrix_csv
+        monkeypatch.setenv("RISKBANDS_WORKERS", "abc")
+        assert main(["band", "--input", str(path), "--output", str(tmp_path / "o.csv"),
+                     "--method", "nasm", "--workers", "2"]) == 0
+        monkeypatch.setenv("RISKBANDS_WORKERS", "2")
+        assert build_parser().parse_args(
+            ["band", "--input", "x", "--output", "y", "--method", "nasm"]).workers == 2
+
+
+def _commands():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _write_input(path, dest):
+    # a valid input of its flag's kind, so that only the refusal can stop the command
+    matrix = LossMatrix(ParameterGrid.linspace(0.0, 1.0, 4),
+                        np.random.default_rng(1).random((20, 4)))
+    if dest == "descriptor":
+        path.write_text(json.dumps({
+            "generator": {"family": "constant", "grid": {"low": 0.0, "high": 1.0, "size": 5}},
+            "methods": [{"name": "nasm"}], "n": [10], "runs": 2, "seed": 2}))
+    elif dest == "inputs":
+        write_band(MethodSpec("nasm").band(matrix, SeedRecord(1), side="two-sided"), path)
+    else:
+        write_loss_matrix(matrix, path)
+
+
+def _overwrite_cases():
+    # every (command, output flag, input flag): the inputs are the required
+    # untyped flags without choices, the outputs --output and --output-prefix
+    for command, parser in _commands().items():
+        outputs = [a for a in parser._actions if a.dest in ("output", "output_prefix")]
+        inputs = [a for a in parser._actions if a.required and a.type is None
+                  and a.choices is None and a not in outputs]
+        for out in outputs:
+            for inp in inputs:
+                yield command, out.dest, inp.dest
+
+
+def _argv(command, tmp_path, output, clash_dest, clash_path):
+    """``command``'s argv with ``clash_path`` as its ``clash_dest`` input and
+    ``output`` as its output; every input file is written, valid, if absent."""
+    argv = [command]
+    for action in _commands()[command]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        flag = action.option_strings[0]
+        if action.dest in ("output", "output_prefix"):
+            argv += [flag, str(output)]
+        elif action.required and action.choices is not None:
+            argv += [flag, action.choices[0]]
+        elif action.required:
+            paths = [clash_path if action.dest == clash_dest else tmp_path / f"{action.dest}.csv"]
+            if action.nargs == "+":
+                paths.append(tmp_path / f"{action.dest}-2.csv")
+            for path in paths:
+                if not path.exists():
+                    _write_input(path, action.dest)
+            argv += [flag, *map(str, paths)]
+    return argv
+
+
+class TestOutputsNeverOverwriteInputs:
+    """No command replaces one of its own input files."""
+
+    @pytest.mark.parametrize("command, out_dest, in_dest", list(_overwrite_cases()))
+    def test_output_that_is_an_input_is_refused(self, tmp_path, capsys, command, out_dest,
+                                                in_dest):
+        target = tmp_path / "in.csv"
+        argv = _argv(command, tmp_path, target, in_dest, target)
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(argv) == 5
+        assert "would overwrite an input" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("command, in_dest", [
+        ("band", "input"), ("select", "tradeoff"), ("compose", "inputs"), ("dump-sups", "input")])
+    def test_output_whose_sidecar_is_an_input_is_refused(self, tmp_path, capsys, command,
+                                                         in_dest):
+        target = tmp_path / "in.csv.json"
+        argv = _argv(command, tmp_path, tmp_path / "in.csv", in_dest, target)
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert main(argv) == 5
+        assert capsys.readouterr().err == (
+            f"error[domain]: output {target} would overwrite an input of the command\n")
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_every_file_writing_command_is_walked(self):
+        # simulate reads no file, so it has no input to overwrite
+        assert {command for command, _, _ in _overwrite_cases()} == (
+            set(_commands()) - {"simulate"})
+
+
+class TestDumpSupsCommand:
+    def test_sidecar_seed_reruns_to_the_same_csv(self, tmp_path, matrix_csv):
+        path, _ = matrix_csv
+        first = tmp_path / "sups.csv"
+        assert main(["dump-sups", "--input", str(path), "--B", "64", "--sign", "plus",
+                     "--output", str(first)]) == 0
+        meta = json.loads((tmp_path / "sups.csv.json").read_text())
+        assert meta["command"] == "dump-sups" and meta["input"] == str(path)
+        assert (meta["sign"], meta["B"]) == ("plus", 64)
+        again = tmp_path / "again.csv"
+        assert main(["dump-sups", "--input", meta["input"], "--B", str(meta["B"]),
+                     "--sign", meta["sign"], "--seed", str(meta["seed"]["seed"]),
+                     "--output", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+        assert json.loads((tmp_path / "again.csv.json").read_text())["seed"] == meta["seed"]
+        assert len(first.read_text().splitlines()) == 65
 
 
 class TestSelectCommand:
@@ -373,6 +507,9 @@ class TestEvalCommand:
         ({"generator": {"family": "panel-surrogate", "scores": "missing.csv",
                         "labels": "missing.csv", "tradeoff_kind": "bogus"}},
          """'tradeoff_kind' must be one of ['FNP', 'FPP', 'FDP', 'SetSize'], not "bogus\""""),
+        # two entries with one name would share one trace key
+        ({"methods": [{"name": "rr", "B": 100}, {"name": "rr", "B": 200}]},
+         "'methods' lists 'rr' more than once; each method entry needs its own name"),
     ])
     def test_wrong_value_type_is_refused(self, tmp_path, capsys, entries, message):
         code, prefix = self.run_descriptor(tmp_path, {
@@ -518,7 +655,11 @@ class TestEvalCommand:
                      "--output-prefix", str(tmp_path / "o")])
         assert code == 3
 
-    def test_panel_surrogate_descriptor(self, tmp_path):
+    @pytest.mark.parametrize("extra, metrics", [
+        ({}, ["anywhere", "selected"]),
+        ({"tradeoff_kind": "FPP"}, ["anywhere", "conservatism"]),
+    ], ids=["kind-only", "with-tradeoff"])
+    def test_panel_surrogate_descriptor(self, tmp_path, extra, metrics):
         rng = np.random.default_rng(8)
         scores = tmp_path / "scores.csv"
         labels = tmp_path / "labels.csv"
@@ -529,12 +670,13 @@ class TestEvalCommand:
         descriptor = {
             "generator": {"family": "panel-surrogate", "scores": str(scores),
                           "labels": str(labels), "kind": "FNP",
-                          "grid": {"low": 0.0, "high": 1.0, "size": 20}},
+                          "grid": {"low": 0.0, "high": 1.0, "size": 20}, **extra},
             "methods": [{"name": "rr", "delta": 0.1, "B": 64}],
             "n": [30],
             "runs": 8,
             "seed": 13,
-            "metrics": ["anywhere", "selected"],
+            "metrics": metrics,
+            "r": 0.5,
         }
         desc_path = tmp_path / "panel_exp.json"
         desc_path.write_text(json.dumps(descriptor))
@@ -543,8 +685,38 @@ class TestEvalCommand:
                      "--output-prefix", str(prefix)])
         assert code == 0
         payload = json.loads(prefix.with_suffix(".json").read_text())
-        assert len(payload["reports"]) == 2
+        assert [rep["metric"] for rep in payload["reports"]] == [
+            "miscoverage-anywhere", "conservatism" if extra else "miscoverage-selected"]
         assert payload["reports"][0]["config"]["label"] == "panel:FNP"
+        if extra:
+            gap = payload["reports"][1]
+            assert gap["extra"]["excluded_runs"] < gap["runs"] and np.isfinite(gap["estimate"])
+
+    @pytest.mark.parametrize("generator, grid", [
+        ({"family": "equicorrelated"}, {"low": -3.0, "high": 3.0, "size": 1000}),
+        ({"family": "constant", "value": 0.25}, {"low": -3.0, "high": 3.0, "size": 1000}),
+        ({"family": "panel-surrogate", "tradeoff_kind": "FPP"},
+         {"low": 0.0, "high": 1.0, "size": 500}),
+    ], ids=["equicorrelated", "constant", "panel-surrogate"])
+    def test_omitted_grid_is_the_family_default(self, tmp_path, generator, grid):
+        if generator["family"] == "panel-surrogate":
+            rng = np.random.default_rng(9)
+            generator = {**generator, "scores": str(tmp_path / "scores.csv"),
+                         "labels": str(tmp_path / "labels.csv")}
+            np.savetxt(generator["scores"], rng.random((30, 3)), fmt="%.3f", delimiter=",")
+            np.savetxt(generator["labels"], rng.integers(0, 2, (30, 3)), fmt="%d", delimiter=",")
+        rows = []
+        for name, gen in (("default", generator), ("explicit", {**generator, "grid": grid})):
+            desc_path = tmp_path / f"{name}.json"
+            desc_path.write_text(json.dumps({
+                "generator": gen, "methods": [{"name": "nasm"}, {"name": "rr", "B": 32}],
+                "n": [20], "runs": 3, "seed": 4, "r": 0.5,
+                "metrics": ["anywhere", "selected", "conservatism"]}))
+            prefix = tmp_path / f"{name}-out"
+            assert main(["eval", "--descriptor", str(desc_path),
+                         "--output-prefix", str(prefix)]) == 0
+            rows.append(prefix.with_suffix(".csv").read_text())
+        assert rows[0] == rows[1]
 
 
 class TestRunMajorEval:

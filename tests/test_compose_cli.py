@@ -111,28 +111,34 @@ class TestComposeCommand:
         meta = json.loads((tmp_path / "ratio.csv.json").read_text())
         assert meta["psi"] == "ratio"
 
-    def test_weighted_sum(self, tmp_path):
+    @pytest.mark.parametrize("psi, weights, w", [
+        ("weighted-sum", ["--weights", "0.5,0.5"], 0.5),
+        ("sum", [], 1.0),
+    ], ids=["weighted-sum", "sum"])
+    def test_weighted_sum(self, tmp_path, psi, weights, w):
         b1, _ = make_band(tmp_path, "b1.csv", [0.1, 0.1], [0.2, 0.2], delta=0.04)
         b2, _ = make_band(tmp_path, "b2.csv", [0.2, 0.4], [0.3, 0.5], delta=0.06)
         out = tmp_path / "sum.csv"
-        code = main(["compose", "--inputs", str(b1), str(b2), "--psi", "weighted-sum",
-                     "--weights", "0.5,0.5", "--output", str(out)])
+        code = main(["compose", "--inputs", str(b1), str(b2), "--psi", psi,
+                     *weights, "--output", str(out)])
         assert code == 0
         band = read_band(out)
-        assert band.upper[0] == pytest.approx(0.5 * 0.2 + 0.5 * 0.3)
-        assert band.lower[1] == pytest.approx(0.5 * 0.1 + 0.5 * 0.4)
+        assert band.upper[0] == pytest.approx(w * 0.2 + w * 0.3)
+        assert band.lower[1] == pytest.approx(w * 0.1 + w * 0.4)
         assert band.delta == pytest.approx(0.1)
+        assert json.loads((tmp_path / "sum.csv.json").read_text())["weights"] == [w, w]
 
-    @pytest.mark.parametrize("weights", ["nan,1", "inf,1", "1,-inf"])
+    @pytest.mark.parametrize("weights", ["nan,1", "inf,1", "1,-inf", None])
     def test_non_finite_weight_is_refused(self, tmp_path, capsys, weights):
         b1, _ = make_band(tmp_path, "b1.csv", [0.1, 0.1], [0.2, 0.2], delta=0.04)
         b2, _ = make_band(tmp_path, "b2.csv", [0.2, 0.4], [0.3, 0.5], delta=0.06)
         out = tmp_path / "sum.csv"
         code = main(["compose", "--inputs", str(b1), str(b2), "--psi", "weighted-sum",
-                     "--weights", weights, "--output", str(out)])
+                     *([] if weights is None else ["--weights", weights]), "--output", str(out)])
         assert code == 5
-        assert capsys.readouterr().err == (
-            "error[domain]: need one finite, nonnegative weight per input band\n")
+        assert capsys.readouterr().err == "error[domain]: " + (
+            "weighted-sum needs --weights w1,w2,...\n" if weights is None
+            else "need one finite, nonnegative weight per input band\n")
         assert not out.exists() and not (tmp_path / "sum.csv.json").exists()
 
     def test_ratio_needs_two_bands(self, tmp_path):

@@ -310,6 +310,36 @@ class TestRunMetrics:
         assert a == b
         assert serial == parallel
 
+    def test_custom_draw_fn_runs_like_its_analytic_twin(self):
+        twin = spec_for(0.2)
+
+        def draw(n, seed, pair):
+            primary, companion, truth = twin.realize_pair(n, seed)
+            return primary, companion if pair else None, truth
+
+        custom = GeneratorSpec("custom", GRID, draw_fn=draw, label="twin")
+        for metrics in (["anywhere", "selected"], list(METRICS)):
+            expected, traces = [], []
+            a = run_metrics(self.METHODS, twin, 60, 4, 33, metrics, traces=expected)
+            b = run_metrics(self.METHODS, custom, 60, 4, 33, metrics, traces=traces)
+            assert traces == expected
+            assert np.array_equal([[r.estimate for r in row] for row in a],
+                                  [[r.estimate for r in row] for row in b], equal_nan=True)
+            assert all(r.config["family"] == "custom" and r.config["label"] == "twin"
+                       for row in b for r in row)
+
+    def test_custom_draw_fn_without_companion(self):
+        def draw(n, seed, pair):
+            matrix, truth = spec_for(0.2).realize(n, seed)
+            return matrix, None, truth
+
+        custom = GeneratorSpec("custom", GRID, draw_fn=draw)
+        assert run_metrics(self.METHODS[:1], custom, 30, 2, 34, ["anywhere"])
+        with pytest.raises(ValueError, match="no tradeoff companion"):
+            run_metrics(self.METHODS[:1], custom, 30, 2, 34, ["conservatism"])
+        with pytest.raises(ValueError, match="need a draw_fn"):
+            GeneratorSpec("custom", GRID)
+
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):
             run_metrics(self.METHODS, spec_for(0.2), 20, 2, 1, ["coverage"])
@@ -456,6 +486,14 @@ class TestSurrogate:
         again, paired2, _ = gen.realize_pair(15, SeedRecord(22))
         assert np.array_equal(primary.values, again.values)
         assert np.array_equal(paired.values, paired2.values)
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_empty_draw_is_refused(self, paired):
+        base = equicorrelated_matrix(40, 23)
+        gen = surrogate_generator(base, companion=base if paired else None)
+        for realize in (gen.realize, gen.realize_pair):
+            with pytest.raises(ValueError, match="need n >= 1"):
+                realize(0, SeedRecord(24))
 
     def test_surrogate_without_companion_rejects_pairs(self):
         base = equicorrelated_matrix(40, 23)
