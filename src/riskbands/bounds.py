@@ -8,6 +8,12 @@ Two families:
   process of a monotone loss;
 - a per-threshold betting (capital-process) upper bound for means of [0,1]
   variables, valid at each fixed threshold separately but not simultaneously.
+
+The betting test runs over blocks of ``WSR_BLOCK`` grid columns: each block's
+betting fractions are computed once, and its capital passes (one for a test,
+32 for a bisection) reuse them while the block is still in cache. Working
+memory is O(n * WSR_BLOCK) whatever the grid size, and every column's
+arithmetic is the same as on the whole array.
 """
 
 from __future__ import annotations
@@ -26,6 +32,10 @@ SIDES = ("upper", "lower", "two-sided")
 # Absolute bisection tolerance on the betting bound; far below any
 # statistical resolution of the data.
 WSR_BISECTION_TOL = 1e-9
+
+# Grid columns per block of the betting test: an n x 64 block of losses, its
+# fractions and one capital array fit in a 4 MB cache at n = 1000.
+WSR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -154,7 +164,8 @@ def _wsr_lambdas(losses: np.ndarray, delta: float) -> np.ndarray:
     steps = np.arange(1, n + 1, dtype=float)
     if losses.ndim == 2:
         steps = steps[:, None]
-    # in place where possible: at most two arrays of the losses' size live at once
+    # in place where possible: at most two arrays of the losses' size (one
+    # n x WSR_BLOCK block) live at once
     mu = np.cumsum(losses, axis=0)
     mu += 0.5
     mu /= 1.0 + steps
@@ -181,11 +192,23 @@ def _capital_rejects(losses: np.ndarray, lam: np.ndarray, p, log_threshold: floa
     scalar or a length-m vector of candidate means. Factors are nonnegative
     because lam <= 1 and |l - p| <= 1, so the test runs in log space.
     """
-    factors = 1.0 - lam * (losses - p)
+    # one fresh contiguous array, updated in place: 1 - lam * (l - p), its log
+    # and then the running log capital
+    factors = losses - p
+    factors *= lam
+    np.subtract(1.0, factors, out=factors)
     with np.errstate(divide="ignore"):
         np.log(factors, out=factors)
-    running = np.cumsum(factors, axis=0)
-    return running.max(axis=0) > log_threshold
+    np.cumsum(factors, axis=0, out=factors)
+    return factors.max(axis=0) > log_threshold
+
+
+def _wsr_blocks(values: np.ndarray, delta: float):
+    """Each block of at most ``WSR_BLOCK`` columns: its column slice, losses and fractions."""
+    for start in range(0, values.shape[1], WSR_BLOCK):
+        cols = slice(start, start + WSR_BLOCK)
+        block = values[:, cols]
+        yield cols, block, _wsr_lambdas(block, delta)
 
 
 def _wsr_bisect(values: np.ndarray, delta: float) -> np.ndarray:
@@ -193,21 +216,24 @@ def _wsr_bisect(values: np.ndarray, delta: float) -> np.ndarray:
 
     A fixed count of halvings reaches the 1e-9 tolerance on every column (the
     capital is nondecreasing in p); 0 where p = 0 is already rejected, 1 where
-    no p <= 1 is.
+    no p <= 1 is. Each block of columns is bisected whole before the next.
     """
-    k = values.shape[1]
-    lam = _wsr_lambdas(values, delta)
     log_thr = math.log(1.0 / delta)
-    at_zero = _capital_rejects(values, lam, np.zeros(k), log_thr)
-    at_one = _capital_rejects(values, lam, np.ones(k), log_thr)
-    lo = np.zeros(k)
-    hi = np.ones(k)
-    for _ in range(int(math.ceil(math.log2(1.0 / WSR_BISECTION_TOL)))):
-        mid = 0.5 * (lo + hi)
-        rej = _capital_rejects(values, lam, mid, log_thr)
-        hi = np.where(rej, mid, hi)
-        lo = np.where(rej, lo, mid)
-    return np.where(at_zero, 0.0, np.where(~at_one, 1.0, hi))
+    halvings = int(math.ceil(math.log2(1.0 / WSR_BISECTION_TOL)))
+    bounds = []
+    for _, block, lam in _wsr_blocks(values, delta):
+        k = block.shape[1]
+        at_zero = _capital_rejects(block, lam, np.zeros(k), log_thr)
+        at_one = _capital_rejects(block, lam, np.ones(k), log_thr)
+        lo = np.zeros(k)
+        hi = np.ones(k)
+        for _ in range(halvings):
+            mid = 0.5 * (lo + hi)
+            rej = _capital_rejects(block, lam, mid, log_thr)
+            hi = np.where(rej, mid, hi)
+            lo = np.where(rej, lo, mid)
+        bounds.append(np.where(at_zero, 0.0, np.where(~at_one, 1.0, hi)))
+    return np.concatenate(bounds)
 
 
 def wsr_upper(losses: np.ndarray, delta: float) -> float:
@@ -256,12 +282,16 @@ def wsr_rejects(matrix: LossMatrix, p: np.ndarray, delta: float) -> np.ndarray:
     bracket, without the bisection: the rejection region in p is an up-set,
     so the bound is below p exactly when the capital at p itself exceeds
     1/delta. Used by the evaluation harness to decide exceedance events
-    without computing the bound.
+    without computing the bound. A candidate mean outside [0, 1], or NaN, is
+    refused.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     p = np.asarray(p, dtype=float)
     if p.shape != (matrix.m,):
         raise ValueError("need one candidate mean per grid column")
-    lam = _wsr_lambdas(matrix.values, delta)
-    return _capital_rejects(matrix.values, lam, p, math.log(1.0 / delta))
+    if not (p.min() >= 0.0 and p.max() <= 1.0):  # false on NaN as well
+        raise ValueError("candidate means must lie in [0, 1]")
+    log_thr = math.log(1.0 / delta)
+    return np.concatenate([_capital_rejects(block, lam, p[cols], log_thr)
+                           for cols, block, lam in _wsr_blocks(matrix.values, delta)])

@@ -53,7 +53,7 @@ class GeneratorSpec:
     the holdout surrogate, fixed for the analytic families). A custom
     generator is one ``draw_fn(n, seed, pair)`` returning the primary matrix,
     its tradeoff companion when ``pair`` is true (``None`` when it has none),
-    and the truth.
+    and the truth, which must hold one value in [0, 1] per grid point.
     """
 
     family: str
@@ -131,7 +131,14 @@ class GeneratorSpec:
         if n < 1:
             raise ValueError("need n >= 1")
         if self.family == CUSTOM_FAMILY:
-            return self.draw_fn(n, seed, pair)
+            primary, companion, truth = self.draw_fn(n, seed, pair)
+            truth = np.asarray(truth, dtype=float)
+            # a NaN makes min or max NaN, which fails both comparisons
+            ok = truth.shape == (len(self.grid),) and truth.min() >= 0.0 and truth.max() <= 1.0
+            if not ok:
+                raise ValueError("a custom draw_fn must return one truth value in [0, 1] "
+                                 "per grid point")
+            return primary, companion, truth
         m = len(self.grid)
         companion = None
         if self.family == CONSTANT:

@@ -1,14 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import riskbands.bounds
 from riskbands import (
+    GeneratorSpec,
     LossMatrix,
     ParameterGrid,
     RiskCurve,
+    SeedRecord,
+    default_synthetic_grid,
     nasm_band,
     nasm_width,
     tail_bound,
@@ -16,7 +21,7 @@ from riskbands import (
     wsr_rejects,
     wsr_upper,
 )
-from riskbands.bounds import _capital_rejects, _wsr_lambdas
+from riskbands.bounds import _capital_rejects, _wsr_blocks, _wsr_lambdas
 
 
 def oracle_lambdas(losses, delta):
@@ -52,6 +57,55 @@ def wsr_oracle_scan(losses, delta):
         if rejected(p):
             return p
     return hit
+
+
+def whole_lambdas(losses, delta):
+    """The betting fractions over a whole n x m array at once: the unblocked form."""
+    n = losses.shape[0]
+    steps = np.arange(1, n + 1, dtype=float)[:, None]
+    mu = np.cumsum(losses, axis=0)
+    mu += 0.5
+    mu /= 1.0 + steps
+    sq = losses - mu
+    np.square(sq, out=sq)
+    s2 = np.cumsum(sq, axis=0)
+    s2 += 0.25
+    s2 /= 1.0 + steps
+    s2[1:] = s2[:-1]
+    s2[:1] = 0.25
+    s2 *= n
+    np.divide(2.0 * np.log(1.0 / delta), s2, out=s2)
+    np.sqrt(s2, out=s2)
+    return np.minimum(1.0, s2, out=s2)
+
+
+def whole_log_capital(losses, lam, p):
+    """Each column's largest running log capital, over a whole n x m array at once."""
+    factors = 1.0 - lam * (losses - p)
+    with np.errstate(divide="ignore"):
+        np.log(factors, out=factors)
+    return np.cumsum(factors, axis=0).max(axis=0)
+
+
+def whole_capital_rejects(losses, lam, p, log_threshold):
+    """The capital test over a whole n x m array at once: the unblocked form."""
+    return whole_log_capital(losses, lam, p) > log_threshold
+
+
+def whole_bisect(values, delta):
+    """The betting bisection over a whole n x m array at once: the unblocked form."""
+    k = values.shape[1]
+    lam = whole_lambdas(values, delta)
+    log_thr = math.log(1.0 / delta)
+    at_zero = whole_capital_rejects(values, lam, np.zeros(k), log_thr)
+    at_one = whole_capital_rejects(values, lam, np.ones(k), log_thr)
+    lo, hi = np.zeros(k), np.ones(k)
+    for _ in range(int(math.ceil(math.log2(1.0 / 1e-9)))):
+        mid = 0.5 * (lo + hi)
+        rej = whole_capital_rejects(values, lam, mid, log_thr)
+        hi = np.where(rej, mid, hi)
+        lo = np.where(rej, lo, mid)
+    return np.where(at_zero, 0.0, np.where(~at_one, 1.0, hi))
 
 
 class TestNasmWidth:
@@ -260,6 +314,19 @@ class TestWsrRejects:
             expected = p > band.upper
             assert np.array_equal(wsr_rejects(m, p, 0.1), expected)
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5, np.inf])
+    def test_candidate_mean_outside_unit_interval_refused(self, bad):
+        g = ParameterGrid.linspace(0.0, 1.0, 3)
+        m = LossMatrix(g, np.full((10, 3), 0.5))
+        p = np.array([0.2, bad, 0.7])
+        with pytest.raises(ValueError, match="candidate means"):
+            wsr_rejects(m, p, 0.1)
+
+    def test_candidate_means_at_the_ends_accepted(self):
+        g = ParameterGrid.linspace(0.0, 1.0, 2)
+        m = LossMatrix(g, np.full((10, 2), 0.5))
+        assert wsr_rejects(m, np.array([0.0, 1.0]), 0.1).tolist() == [False, True]
+
     def test_rejection_region_is_up_set(self):
         rng = np.random.default_rng(9)
         losses = rng.random((40, 1)) * 0.6
@@ -269,3 +336,76 @@ class TestWsrRejects:
         flags = [bool(_capital_rejects(losses, lam, p, thr)[0]) for p in grid_p]
         # once rejection starts it never stops
         assert flags == sorted(flags)
+
+
+class TestWsrBlocks:
+    """The betting test runs block by block and equals the whole-array form bit for bit."""
+
+    @staticmethod
+    def matrix(n, m, seed):
+        # columns cycle through all-0, all-1, constant, Bernoulli and uniform
+        rng = np.random.default_rng(seed)
+        values = rng.random((n, m))
+        values[:, 0::5] = 0.0
+        values[:, 1::5] = 1.0
+        values[:, 2::5] = 0.3
+        values[:, 3::5] = values[:, 3::5] < 0.4
+        return LossMatrix(ParameterGrid.linspace(0.0, 1.0, m), values)
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65, 130, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    def test_bit_identical_to_whole_array(self, monkeypatch, n, m):
+        matrix = self.matrix(n, m, 1000 * n + m)
+        delta = 0.1
+        values = matrix.values
+        expected = whole_bisect(values, delta)
+        lam = whole_lambdas(values, delta)
+        thr = math.log(1.0 / delta)
+        # p at each column's own bound and one ulp either side of it
+        candidates = [expected, np.nextafter(expected, -np.inf).clip(0.0, 1.0),
+                      np.nextafter(expected, np.inf).clip(0.0, 1.0)]
+        for block in (riskbands.bounds.WSR_BLOCK, 1, 7, m):
+            monkeypatch.setattr(riskbands.bounds, "WSR_BLOCK", block)
+            assert np.array_equal(wsr_band(matrix, delta).upper, expected), block
+            for p in candidates:
+                assert np.array_equal(wsr_rejects(matrix, p, delta),
+                                      whole_capital_rejects(values, lam, p, thr)), block
+        for j in sorted({0, 1, 2, 3, 63, 64, m // 2, m - 1} & set(range(m))):
+            assert wsr_upper(values[:, j], delta) == expected[j]
+
+    @pytest.mark.parametrize("m", [1, 65, 1000])
+    @pytest.mark.parametrize("n", [1, 1000])
+    def test_log_capital_bit_identical_to_whole_array(self, n, m):
+        # the test flips exactly at each column's largest log capital, so
+        # thresholds at it and one ulp below it see its last bit
+        matrix = self.matrix(n, m, 7 * n + m)
+        delta = 0.1
+        values = matrix.values
+        lam = whole_lambdas(values, delta)
+        p = np.random.default_rng(m).random(m)
+        top = whole_log_capital(values, lam, p)
+        finite = np.isfinite(top)
+        blocks = list(_wsr_blocks(values, delta))
+        assert np.array_equal(np.hstack([b_lam for _, _, b_lam in blocks]), lam)
+        for cols, block, b_lam in blocks:
+            at = _capital_rejects(block, b_lam, p[cols], top[cols])
+            below = _capital_rejects(block, b_lam, p[cols], np.nextafter(top[cols], -np.inf))
+            assert not at.any()
+            assert np.array_equal(below, finite[cols])
+
+    def test_working_memory_is_a_few_blocks(self):
+        # the whole-array form peaked at 24 MB; an n x 64 block of float64 is 0.5 MB
+        spec = GeneratorSpec("equicorrelated-gaussian-cdf", default_synthetic_grid(), rho=0.2)
+        matrix, truth = spec.realize(1000, SeedRecord(3))
+        assert matrix.values.shape == (1000, 1000)
+        tracemalloc.start()
+        try:
+            peaks = []
+            for call in (lambda: wsr_rejects(matrix, truth, 0.1), lambda: wsr_band(matrix, 0.1)):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) < 4_000_000, peaks

@@ -340,6 +340,25 @@ class TestRunMetrics:
         with pytest.raises(ValueError, match="need a draw_fn"):
             GeneratorSpec("custom", GRID)
 
+    @pytest.mark.parametrize("bad", ["nan", "above-one", "short"])
+    def test_custom_truth_is_checked(self, bad):
+        def draw(n, seed, pair):
+            matrix, truth = spec_for(0.2).realize(n, seed)
+            if bad == "nan":
+                truth[7] = np.nan
+            elif bad == "above-one":
+                truth[7] = 1.5
+            else:
+                truth = truth[:-1]
+            return matrix, None, truth
+
+        custom = GeneratorSpec("custom", GRID, draw_fn=draw)
+        with pytest.raises(ValueError, match="one truth value in \\[0, 1\\] per grid point"):
+            custom.realize(30, SeedRecord(1))
+        # a NaN truth would otherwise count as covered for every method
+        with pytest.raises(ValueError, match="truth value"):
+            run_metrics(self.METHODS, custom, 30, 2, 34, ["anywhere"])
+
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):
             run_metrics(self.METHODS, spec_for(0.2), 20, 2, 1, ["coverage"])
