@@ -10,7 +10,8 @@ the full grid are computed once per (matrix, seed record, B), kept on the
 matrix (O(B·m) memory, independent of n), and reduced to signed suprema over
 any index set. ``rr_band``, ``sup_distribution`` and both passes of
 ``rrr_band`` on the same matrix and seed therefore share their replicates.
-``suggest_b`` streams its suprema instead, so it never holds a B×m array.
+``suggest_b`` streams its suprema instead, so it never holds a B×m array,
+and draws each replicate once however often it doubles B.
 
 Two kernels compute the deviations. A matrix the generators built in step
 form (``LossMatrix._steps``) gets them from a weighted histogram of its jump
@@ -19,11 +20,15 @@ other matrix, and ``suggest_b``, uses one GEMM per block of replicates,
 O(nm) per replicate. Both draw the same counts from the same streams and
 agree to within float rounding (1e-12 on the quantiles).
 
-Determinism contract: replicate b is generated from a counter-based stream
-keyed by (seed record, b), and deviations are computed in fixed-size blocks,
-so the sorted output is bit-identical under serial and parallel execution,
-under any scheduling of the blocks, and whether the replicates were computed
-for this call or shared with an earlier one.
+Determinism contract: replicates come in blocks of 64. Block j (replicates
+64j .. 64j+63) has one generator, keyed by (seed record, j), and replicate
+64j + r is row r of that generator's 64 x n uniform draw of row indices, so
+a prefix of replicates is the same whatever B is. A block is drawn in
+chunks of about 2**16 indices, which the chunking cannot change, and the
+counts reach the kernels one row at a time. Deviations are computed
+per block, so the sorted output is bit-identical under serial and parallel
+execution, under any scheduling of the blocks, and whether the replicates
+were computed for this call or shared with an earlier one.
 """
 
 from __future__ import annotations
@@ -41,9 +46,14 @@ from .losses import LossMatrix, _frozen
 
 SIGNS = ("plus", "minus", "two-sided")
 
-# Replicates per block. Fixed as part of the algorithm (not tied to the
-# executor) so that scheduling cannot change which GEMM calls are made.
+# Replicates per block, and per generator. Part of the stream scheme (not
+# tied to the executor), so scheduling cannot change the draws or which GEMM
+# calls are made.
 _BLOCK = 64
+
+# Row indices per draw call, about: a block is drawn max(1, _CHUNK // n) rows
+# at a time, so its working memory does not grow with _BLOCK * n.
+_CHUNK = 2**16
 
 # Hard cap on replicate growth in suggest_b.
 _B_CAP = 2**20
@@ -55,12 +65,14 @@ class SeedRecord:
 
     Streams are derived by spawn keys, so ``child(i)`` and ``generator(i)``
     depend only on (seed, path, i) and never on evaluation order. ``scheme``
-    and ``algorithm`` name that derivation and PCG64 in every sidecar.
+    and ``algorithm`` name that derivation and PCG64 in every sidecar; the
+    scheme also names the bootstrap's use of it, one generator per block of
+    64 replicates.
     """
 
     seed: int
     path: tuple[int, ...] = ()
-    scheme: ClassVar[str] = "numpy-seedsequence-spawn-key"
+    scheme: ClassVar[str] = "numpy-seedsequence-spawn-key-block64"
     algorithm: ClassVar[str] = "pcg64"
 
     def __post_init__(self):
@@ -113,14 +125,33 @@ class BootstrapSupDistribution:
 def resample_counts(n: int, seed: SeedRecord, replicate_index: int) -> np.ndarray:
     """Multinomial(n; uniform) row counts for one replicate.
 
-    Drawn as n uniform row indices with replacement, then tallied; the result
-    is a deterministic function of (seed, replicate_index).
+    Replicate b is row b % 64 of block b // 64's draw of n uniform row
+    indices with replacement, tallied; the result is a deterministic function
+    of (seed, replicate_index).
     """
     n = int(n)
     if n < 1:
         raise ValueError("need n >= 1")
-    rng = seed.generator(int(replicate_index))
-    return np.bincount(rng.integers(0, n, size=n), minlength=n)
+    block, row = divmod(int(replicate_index), _BLOCK)
+    for counts in _count_rows(n, seed.generator(block), row + 1):
+        pass  # keep only the last row, so no earlier chunk stays alive
+    return counts.copy()
+
+
+def _count_rows(n: int, rng: np.random.Generator, rows: int):
+    """The next ``rows`` count rows of a block's generator, one at a time.
+
+    Each row tallies n uniform row indices. They are drawn in chunks of
+    max(1, _CHUNK // n) rows, each tallied by one offset bincount; how the
+    draws are split does not change them, since the generator's stream is
+    the same.
+    """
+    step = max(1, _CHUNK // n)
+    for start in range(0, rows, step):
+        k = min(step, rows - start)
+        idx = rng.integers(0, n, size=(k, n))
+        idx += np.arange(0, k * n, n)[:, None]
+        yield from np.bincount(idx.ravel(), minlength=k * n).reshape(k, n)
 
 
 def conservative_quantile(sorted_values: np.ndarray, delta: float) -> float:
@@ -171,11 +202,17 @@ def _signed_sups(g: np.ndarray, sign: str) -> np.ndarray:
     return np.abs(g).max(axis=1)
 
 
-def _count_blocks(n: int, seed: SeedRecord, b0: int, b1: int) -> np.ndarray:
-    counts = np.empty((b1 - b0, n))
-    for j in range(b1 - b0):
-        counts[j] = resample_counts(n, seed, b0 + j)
-    return counts
+@dataclass
+class _Carry:
+    """What ``_sup_values`` keeps between calls at a growing B, so that no
+    replicate is drawn twice: the centered matrix, the suprema of every
+    complete block, and the generator and count weights of a block drawn
+    only in part."""
+
+    centered: np.ndarray | None = None
+    sups: np.ndarray = field(default_factory=lambda: np.empty(0))
+    rng: np.random.Generator | None = None
+    weights: np.ndarray | None = None
 
 
 def _sup_values(
@@ -186,6 +223,7 @@ def _sup_values(
     B: int,
     workers: int = 1,
     keep: np.ndarray | None = None,
+    carry: _Carry | None = None,
 ) -> np.ndarray:
     """Unsorted per-replicate suprema over the columns of ``sub``, in fixed blocks.
 
@@ -194,19 +232,46 @@ def _sup_values(
     sum to n, and exactly zero on constant columns because ``sub`` is
     column-centered first. Only the O(B) suprema outlive a block, unless
     ``keep`` (a B x columns array) is given to receive the deviation rows.
+
+    ``carry`` continues an earlier call on the same ``sub``, sign and seed
+    at a smaller B: it starts at the first incomplete block, and draws only
+    the replicates that call did not. Every GEMM has the shape it has in a
+    fresh call at this B, so the suprema are bit for bit a fresh call's.
     """
-    sub = sub - sub.mean(axis=0)
+    if carry is None:
+        carry = _Carry()
+    if carry.centered is None:
+        carry.centered = sub - sub.mean(axis=0)
+    sub = carry.centered
+    start = carry.sups.size
     out = np.empty(B)
+    out[:start] = carry.sups
+    # read before any block runs, written after all have: the first block
+    # resumes the old partial block, the last may leave a new one
+    resumed = (carry.rng, carry.weights)
+    partial = [None, None]
 
     def work(b0):
         b1 = min(b0 + _BLOCK, B)
-        g = (_count_blocks(n, seed, b0, b1) - 1.0) @ sub
+        weights = np.empty((b1 - b0, n))
+        if b0 == start and resumed[1] is not None:
+            rng, drawn = resumed[0], len(resumed[1])
+            weights[:drawn] = resumed[1]
+        else:
+            rng, drawn = seed.generator(b0 // _BLOCK), 0
+        for row, counts in zip(weights[drawn:], _count_rows(n, rng, b1 - b0 - drawn)):
+            np.subtract(counts, 1.0, out=row)
+        if b1 - b0 < _BLOCK:
+            partial[:] = rng, weights
+        g = weights @ sub
         g /= math.sqrt(n)
         out[b0:b1] = _signed_sups(g, sign)
         if keep is not None:
             keep[b0:b1] = g
 
-    _map(work, range(0, B, _BLOCK), workers)
+    _map(work, range(start, B, _BLOCK), workers)
+    carry.sups = out[:B - B % _BLOCK].copy()
+    carry.rng, carry.weights = partial
     return out
 
 
@@ -237,8 +302,9 @@ def _step_deviations(
     def work(b0):
         b1 = min(b0 + _BLOCK, B)
         hist = np.zeros((b1 - b0, m + 1))
-        for row, b in zip(hist, range(b0, b1)):
-            weights = resample_counts(n, seed, b) - 1.0
+        rows = _count_rows(n, seed.generator(b0 // _BLOCK), b1 - b0)
+        for row, counts in zip(hist, rows):
+            weights = counts - 1.0
             for column in columns:
                 row += np.bincount(column, weights, minlength=m + 1)
         g = keep[b0:b1]
@@ -356,6 +422,12 @@ class SuggestBResult:
     degenerate: bool = False
     capped: bool = False
     history: tuple[tuple[int, float, float], ...] = field(default=())
+    lattice: bool = False
+
+
+# Suprema closer than this are one value: GEMM rounding moves a lattice atom
+# by about 1.5e-13.
+_ATOM_DUST = 1e-12
 
 
 def suggest_b(
@@ -373,8 +445,11 @@ def suggest_b(
     An ECDF confidence band of half-width sqrt(log(2/eta)/(2B)) around the
     replicate distribution brackets the target quantile between two order
     statistics; B doubles until that bracket is narrower than
-    ``rel_tol * q_boot`` or the hard cap 2**20 is reached. A zero bootstrap
-    quantile (degenerate matrix) short-circuits with a zero-width flag.
+    ``rel_tol * q_boot`` or the hard cap 2**20 is reached. Each doubling
+    draws only the new replicates. Lattice-valued suprema can keep the
+    bracket wide at any B: when no supremum lies strictly between its ends,
+    the search stops with ``lattice`` set. A zero bootstrap quantile
+    (degenerate matrix) short-circuits with a zero-width flag.
     """
     seed = _seed_record(seed)
     if sign not in SIGNS:
@@ -385,10 +460,11 @@ def suggest_b(
         raise ValueError("bracket_confidence must lie in (0, 1)")
     eps_num = math.log(2.0 / (1.0 - bracket_confidence))
     history: list[tuple[int, float, float]] = []
+    carry = _Carry()
     b = int(initial_b)
     while True:
         # streamed, not shared: B grows to 2**20, where B x m deviations would not fit
-        v = _sup_values(matrix.values, matrix.n, sign, seed, b, workers=workers)
+        v = _sup_values(matrix.values, matrix.n, sign, seed, b, workers=workers, carry=carry)
         v.sort()
         q_boot = conservative_quantile(v, delta)
         if q_boot == 0.0:
@@ -407,6 +483,11 @@ def suggest_b(
         if width < rel_tol * q_boot:
             return SuggestBResult(b, q_boot, low, high, width, met=True,
                                   history=tuple(history))
+        between = (np.searchsorted(v, high - _ATOM_DUST)
+                   - np.searchsorted(v, low + _ATOM_DUST, side="right"))
+        if math.isfinite(width) and between <= 0:
+            return SuggestBResult(b, q_boot, low, high, width, met=False,
+                                  history=tuple(history), lattice=True)
         if b >= _B_CAP:
             return SuggestBResult(b, q_boot, low, high, width, met=False,
                                   capped=True, history=tuple(history))

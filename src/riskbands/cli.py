@@ -240,6 +240,7 @@ def cmd_suggest_b(args) -> int:
         "criterion_met": result.met,
         "degenerate": result.degenerate,
         "capped": result.capped,
+        "lattice": result.lattice,
         "history": [list(h) for h in result.history],
     }
     if args.output:

@@ -26,6 +26,7 @@ from riskbands import (
     suggest_b,
     sup_distribution,
 )
+from riskbands.bootstrap import _count_rows, _deviations
 from riskbands.harness import EQUICORRELATED
 
 
@@ -72,7 +73,7 @@ class TestSeedRecord:
         assert [f.name for f in dataclasses.fields(SeedRecord)] == ["seed", "path"]
         assert SeedRecord(1).child(2, 3).as_dict() == {
             "seed": 1, "path": [2, 3],
-            "scheme": "numpy-seedsequence-spawn-key", "algorithm": "pcg64"}
+            "scheme": "numpy-seedsequence-spawn-key-block64", "algorithm": "pcg64"}
 
 
 class TestResampleCounts:
@@ -91,6 +92,60 @@ class TestResampleCounts:
         b = resample_counts(40, seed, 12)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, resample_counts(40, seed, 13))
+
+
+class TestBlockStreams:
+    @pytest.mark.parametrize("n", [1, 7, 1001])
+    @pytest.mark.parametrize("chunk", [None, 1, 100, 2500])
+    def test_chunked_draws_equal_the_one_shot_block(self, monkeypatch, n, chunk):
+        import riskbands.bootstrap as bootstrap_mod
+        if chunk is not None:
+            # small chunks split one block over several draw calls
+            monkeypatch.setattr(bootstrap_mod, "_CHUNK", chunk)
+        seed = SeedRecord(13).child(n)
+        for j in (0, 3):
+            draw = seed.generator(j).integers(0, n, size=(64, n))
+            want = np.array([np.bincount(row, minlength=n) for row in draw])
+            got = np.array(list(_count_rows(n, seed.generator(j), 64)))
+            assert np.array_equal(got, want)
+            for r in (0, 37, 63):
+                assert np.array_equal(resample_counts(n, seed, 64 * j + r), want[r])
+
+    def test_prefix_is_stable_as_b_grows(self):
+        seed = SeedRecord(14)
+        short = _deviations(stepped(400, 5, 47), seed, 100)
+        long = _deviations(stepped(400, 5, 47), seed, 200)
+        assert np.array_equal(long[:100], short)
+        # the GEMM's second block has 36 rows at B = 100 and 64 at B = 200:
+        # the same counts, but BLAS may round the two shapes differently
+        dense = fresh_copy(stepped(400, 5, 47))
+        short = _deviations(dense, seed, 100)
+        long = _deviations(fresh_copy(dense), seed, 200)
+        assert np.abs(long[:100] - short).max() <= 1e-12
+
+    def test_drawing_holds_a_chunk_not_a_block(self):
+        n = 20_000
+        matrix = stepped(n, 5, 48)
+        block_bytes = 64 * n * 8
+        # first calls, so one-time imports fall outside the traced window
+        resample_counts(n, SeedRecord(0), 0)
+        sup_distribution(matrix, None, "minus", 1, SeedRecord(0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            # the last row of block 0: every row of the block is drawn
+            counts = resample_counts(n, SeedRecord(15), 63)
+            draw_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sup_distribution(matrix, None, "minus", 64, SeedRecord(15))
+            kernel_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == n
+        assert draw_peak - before < block_bytes / 4
+        # the step kernel also holds a transposed copy of the n x K bins
+        assert kernel_peak - before < block_bytes / 4 + matrix._steps.nbytes
 
 
 class TestSupDistribution:
@@ -296,6 +351,34 @@ class TestSuggestB:
         widths = [h[2] for h in result.history if np.isfinite(h[2])]
         assert widths == sorted(widths, reverse=True) or len(widths) <= 1
 
+    def test_threads_equal_serial(self, monkeypatch):
+        import riskbands.bootstrap as bootstrap_mod
+        monkeypatch.setattr(bootstrap_mod, "_B_CAP", 800)
+        m = random_matrix(28, n=50, m=9)
+        serial = suggest_b(m, 0.1, SeedRecord(16), initial_b=100, rel_tol=1e-9)
+        threaded = suggest_b(m, 0.1, SeedRecord(16), initial_b=100, rel_tol=1e-9, workers=3)
+        assert serial == threaded
+
+    def test_lattice_losses_stop_before_the_cap(self, monkeypatch):
+        import riskbands.bootstrap as bootstrap_mod
+        monkeypatch.setattr(bootstrap_mod, "_B_CAP", 2**14)
+        n = 50
+        spec = GeneratorSpec(EQUICORRELATED, default_synthetic_grid(50), rho=0.2)
+        matrix, _ = spec.realize(n, SeedRecord(5))
+        seed = SeedRecord(6)
+        result = suggest_b(matrix, 0.1, seed, initial_b=100)
+        assert result.lattice and not result.met and not result.capped
+        assert result.B < 2**14
+        assert result.bracket_width >= 0.01 * result.q_boot
+        # the bracket's ends are adjacent atoms: multiples of 1/(5 sqrt(n))
+        # with no supremum between them
+        atom = 1.0 / (5 * math.sqrt(n))
+        for end in (result.bracket_low, result.bracket_high):
+            assert abs(end / atom - round(end / atom)) < 1e-9
+        sups = sup_distribution(fresh_copy(matrix), None, "minus", result.B, seed).sorted_values
+        inside = (sups > result.bracket_low + 1e-12) & (sups < result.bracket_high - 1e-12)
+        assert not inside.any()
+
 
 def reference_deviations(matrix, seed, B, columns=None):
     """sqrt(n) (L* - L) per replicate, from the counts and a GEMM per 64 replicates.
@@ -326,18 +409,23 @@ def integer_count_deviations(matrix, K, seed, B):
     return (weights @ counts) / (K * math.sqrt(matrix.n))
 
 
+def blocks(B):
+    """How many 64-replicate blocks B replicates span."""
+    return -(-B // 64)
+
+
 class TestReplicateEngine:
     @pytest.fixture
     def draws(self, monkeypatch):
-        import riskbands.bootstrap as bootstrap_mod
+        """(seed, indices) of every generator made: one per replicate block."""
         calls = []
-        original = bootstrap_mod.resample_counts
+        original = SeedRecord.generator
 
-        def counted(n, seed, replicate_index):
-            calls.append((seed, replicate_index))
-            return original(n, seed, replicate_index)
+        def counted(seed, *indices):
+            calls.append((seed, *indices))
+            return original(seed, *indices)
 
-        monkeypatch.setattr(bootstrap_mod, "resample_counts", counted)
+        monkeypatch.setattr(SeedRecord, "generator", counted)
         return calls
 
     def test_rr_then_rrr_draw_each_replicate_once(self, draws):
@@ -346,37 +434,59 @@ class TestReplicateEngine:
         rr_band(m, 0.1, B, seed)
         rrr_band(m, RRRConfig(seed=seed, r=0.5, B=B))
         sup_distribution(m, IndexSet(np.array([2, 3])), "plus", B, seed)
-        assert len(draws) == B
-        assert sorted(i for _, i in draws) == list(range(B))
+        assert sorted(draws) == [(seed, j) for j in range(blocks(B))]
         # the worker count is not part of the key: it cannot change the bits
         rr_band(m, 0.1, B, seed, workers=3)
-        assert len(draws) == B
+        assert len(draws) == blocks(B)
 
     def test_stepped_matrix_draws_each_replicate_once(self, draws):
         m = stepped(300, 5, 46)
         assert m._steps is not None
+        draws.clear()  # the realization's own generators
         seed, B = SeedRecord(5).child(2), 200
         rr_band(m, 0.1, B, seed)
         rrr_band(m, RRRConfig(seed=seed, r=0.5, B=B))
         sup_distribution(m, IndexSet(np.array([2, 3])), "plus", B, seed)
-        assert len(draws) == B
-        assert sorted(i for _, i in draws) == list(range(B))
+        assert sorted(draws) == [(seed, j) for j in range(blocks(B))]
 
     @pytest.mark.parametrize("change", ["seed", "B", "matrix"])
     def test_other_seed_b_or_matrix_draws_again(self, draws, change):
         m = random_matrix(21, n=60, m=10, orientation="nonincreasing")
         seed, B = SeedRecord(6), 128
         rr_band(m, 0.1, B, seed)
-        assert len(draws) == B
+        assert len(draws) == blocks(B)
         if change == "seed":
             rrr_band(m, RRRConfig(seed=seed.child(0), r=0.5, B=B))
-            assert len(draws) == 2 * B
+            assert len(draws) == 2 * blocks(B)
         elif change == "B":
             rrr_band(m, RRRConfig(seed=seed, r=0.5, B=B + 64))
-            assert len(draws) == 2 * B + 64
+            assert len(draws) == 2 * blocks(B) + 1
         else:
             rrr_band(fresh_copy(m), RRRConfig(seed=seed, r=0.5, B=B))
-            assert len(draws) == 2 * B
+            assert len(draws) == 2 * blocks(B)
+
+    def test_suggest_b_draws_each_replicate_once(self, draws, monkeypatch):
+        import riskbands.bootstrap as bootstrap_mod
+        monkeypatch.setattr(bootstrap_mod, "_B_CAP", 800)
+        rows = []
+        original = bootstrap_mod._count_rows
+
+        def counted(n, rng, k):
+            rows.append(k)
+            return original(n, rng, k)
+
+        monkeypatch.setattr(bootstrap_mod, "_count_rows", counted)
+        m = random_matrix(27, n=50, m=9)
+        seed = SeedRecord(12)
+        # 100 is no multiple of 64, so every doubling resumes a partial block
+        result = suggest_b(m, 0.1, seed, initial_b=100, rel_tol=1e-9)
+        assert result.capped and [h[0] for h in result.history] == [100, 200, 400, 800]
+        assert sum(rows) == 800
+        assert sorted(draws) == [(seed, j) for j in range(blocks(800))]
+        monkeypatch.undo()
+        for b, q, _ in result.history:
+            dist = sup_distribution(fresh_copy(m), None, "minus", b, seed)
+            assert q == conservative_quantile(dist.sorted_values, 0.1)
 
     def test_bands_match_reference_from_counts(self):
         # a curve rising from 0 to 1, so the adjusted set is a proper subset

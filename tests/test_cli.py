@@ -16,6 +16,7 @@ from riskbands import (
     MethodSpec,
     ParameterGrid,
     SeedRecord,
+    default_synthetic_grid,
     empirical_risk,
     nasm_width,
 )
@@ -336,6 +337,21 @@ class TestSuggestBCommand:
         payload = json.loads((tmp_path / "sb.json").read_text())
         assert payload["degenerate"] is True
         assert payload["recommended_B"] == 128
+        assert payload["lattice"] is False
+
+    def test_lattice_losses_end_with_a_lattice_verdict(self, tmp_path):
+        # equicorrelated suprema are multiples of 1/(5 sqrt(50)) = 0.028, wider
+        # than the 1% target, so no B meets the criterion
+        spec = GeneratorSpec(EQUICORRELATED, default_synthetic_grid(50), rho=0.2)
+        path = tmp_path / "lattice.csv"
+        write_loss_matrix(spec.realize(50, SeedRecord(5))[0], path)
+        code = main(["suggest-b", "--input", str(path), "--initial-b", "100",
+                     "--seed", "6", "--output", str(tmp_path / "sb.json")])
+        assert code == 0
+        payload = json.loads((tmp_path / "sb.json").read_text())
+        assert payload["lattice"] is True
+        assert payload["criterion_met"] is False and payload["capped"] is False
+        assert payload["bracket_width"] >= 0.01 * payload["q_boot"]
 
 
 class TestSimulateCommand:
