@@ -15,15 +15,18 @@ Layers, at n = m = B = 1000 on the equicorrelated generator unless noted:
 
 - replicate draws: the counts of 1000 replicates, drawn as the kernels
   draw them, at n = 1000 and n = 20 000;
-- ``_step_deviations`` (draws included), and the deviations of an
-  equal-valued dense copy through the GEMM (``_sup_values`` with ``keep``);
+- ``_deviations`` (draws included) on a freshly realized stepped matrix
+  (the step kernel) and on a fresh equal-valued dense copy (the GEMM); each
+  repetition gets a new matrix, since a matrix keeps its last deviations;
 - a fresh ``realize`` + ``rr_band``, and ``rrr_band`` after ``rr_band``;
 - per-run seconds of a criterion-3-shaped ``run_metrics`` call (nasm, rr,
   pointwise; anywhere) at ``workers`` 1 and 2.
 
-Then one ``riskbands suggest-b`` run with default settings on a paper-scale
-CSV per tree: its B, verdict and wall time (stopped after
-``SUGGEST_B_TIMEOUT`` seconds).
+One library ``suggest_b`` with default settings on the realized (stepped)
+matrix, once per process: its wall time, B and verdict. Then one
+``riskbands suggest-b`` run with default settings on a paper-scale CSV per
+tree: its B, verdict and wall time (stopped after ``SUGGEST_B_TIMEOUT``
+seconds).
 
 Only numpy and the standard library are used.
 """
@@ -45,21 +48,29 @@ ROOT = Path(__file__).resolve().parent.parent
 SUGGEST_B_TIMEOUT = 600.0
 
 
-def _timed(fn, reps: int) -> list[float]:
+def _timed(fn, reps: int, setup=None) -> list[float]:
+    """Seconds of each of ``reps`` calls ``fn()``, or ``fn(setup())`` with
+    the setup untimed."""
     out = []
     for _ in range(reps):
+        args = () if setup is None else (setup(),)
         t0 = time.perf_counter()
-        fn()
+        fn(*args)
         out.append(time.perf_counter() - t0)
     return out
 
 
-def measure(reps: int) -> dict[str, list[float]]:
-    """Seconds per repetition of each layer, in this process's riskbands."""
-    import numpy as np
+def _verdict(result) -> str:
+    return next((k for k in ("met", "lattice", "capped", "degenerate") if getattr(result, k)),
+                "none")
 
-    from riskbands import (GeneratorSpec, MethodSpec, RRRConfig, SeedRecord,
-                           default_synthetic_grid, rr_band, rrr_band, run_metrics)
+
+def measure(reps: int) -> dict:
+    """Seconds per repetition of each layer, and one library ``suggest_b``,
+    in this process's riskbands."""
+    from riskbands import (GeneratorSpec, LossMatrix, MethodSpec, RRRConfig, SeedRecord,
+                           default_synthetic_grid, rr_band, rrr_band, run_metrics,
+                           suggest_b)
     from riskbands import bootstrap
     from riskbands.harness import EQUICORRELATED
 
@@ -84,13 +95,18 @@ def measure(reps: int) -> dict[str, list[float]]:
     out = {"draws_n1000": _timed(draws(1000), reps),
            "draws_n20000": _timed(draws(20_000), reps)}
 
-    stepped, _ = spec.realize(1000, SeedRecord(1))
-    keep = np.empty((B, stepped.m))
-    out["step_deviations"] = _timed(
-        lambda: bootstrap._step_deviations(stepped._steps, stepped.n, seed, B, keep), reps)
-    dense = stepped.values.copy()
-    out["gemm_deviations"] = _timed(
-        lambda: bootstrap._sup_values(dense, 1000, "two-sided", seed, B, keep=keep), reps)
+    def stepped():
+        return spec.realize(1000, SeedRecord(1))[0]
+
+    def dense():
+        matrix = stepped()
+        return LossMatrix(matrix.grid, matrix.values, matrix.orientation)
+
+    def deviations(matrix):
+        bootstrap._deviations(matrix, seed, B)
+
+    out["step_deviations"] = _timed(deviations, reps, stepped)
+    out["gemm_deviations"] = _timed(deviations, reps, dense)
 
     def fresh_rr():
         matrix, _ = spec.realize(1000, SeedRecord(2))
@@ -110,7 +126,14 @@ def measure(reps: int) -> dict[str, list[float]]:
             t / runs for t in _timed(lambda: run_metrics(
                 methods, spec, 1000, runs, SeedRecord(4), ["anywhere"], workers=workers),
                 reps)]
-    return out
+
+    matrix = stepped()
+    t0 = time.perf_counter()
+    result = suggest_b(matrix, 0.1, seed)
+    out["suggest_b_stepped"] = [time.perf_counter() - t0]
+    return {"layers": out, "suggest_b_stepped": {
+        "B": result.B, "verdict": _verdict(result), "q_boot": result.q_boot,
+        "bracket_width": result.bracket_width}}
 
 
 def suggest_b_cli(tree: Path, env: dict) -> dict:
@@ -178,17 +201,21 @@ def main() -> int:
         trees = {"parent": args.parent.resolve(), **trees}
     order = list(trees) + list(reversed(trees))
     samples: dict[str, dict[str, list[float]]] = {side: {} for side in trees}
+    suggest_b_lib = {}
     for side in order:
         proc = subprocess.run([sys.executable, __file__, "--measure", "--label", args.label,
                                "--reps", str(args.reps)], env=_env(trees[side]),
                               check=True, capture_output=True, text=True)
-        for layer, values in json.loads(proc.stdout).items():
+        measured = json.loads(proc.stdout)
+        for layer, values in measured["layers"].items():
             samples[side].setdefault(layer, []).extend(values)
+        suggest_b_lib[side] = measured["suggest_b_stepped"]
     report = {
         "label": args.label,
         "machine": _machine(),
         "layers": {side: {layer: _summary(v) for layer, v in layers.items()}
                    for side, layers in samples.items()},
+        "suggest_b_stepped_defaults": suggest_b_lib,
         "suggest_b_cli_defaults": {side: suggest_b_cli(path, _env(path))
                                    for side, path in trees.items()},
     }

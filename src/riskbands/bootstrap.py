@@ -13,12 +13,12 @@ any index set. ``rr_band``, ``sup_distribution`` and both passes of
 ``suggest_b`` streams its suprema instead, so it never holds a B×m array,
 and draws each replicate once however often it doubles B.
 
-Two kernels compute the deviations. A matrix the generators built in step
-form (``LossMatrix._steps``) gets them from a weighted histogram of its jump
-bins and a cumulative sum over the grid, O(nK + m) per replicate; every
-other matrix, and ``suggest_b``, uses one GEMM per block of replicates,
-O(nm) per replicate. Both draw the same counts from the same streams and
-agree to within float rounding (1e-12 on the quantiles).
+Each matrix has one deviation kernel (``_kernel``), and every consumer
+calls it. A matrix the generators built in step form (``LossMatrix._steps``)
+gets a weighted histogram of its jump bins and a cumulative sum over the
+grid, O(nK + m) per replicate; every other matrix gets one GEMM per block of
+replicates, O(nm) per replicate. Both draw the same counts from the same
+streams and agree to within float rounding (1e-12 on the quantiles).
 
 Determinism contract: replicates come in blocks of 64. Block j (replicates
 64j .. 64j+63) has one generator, keyed by (seed record, j), and replicate
@@ -28,12 +28,17 @@ chunks of about 2**16 indices, which the chunking cannot change, and the
 counts reach the kernels one row at a time. Deviations are computed
 per block, so the sorted output is bit-identical under serial and parallel
 execution, under any scheduling of the blocks, and whether the replicates
-were computed for this call or shared with an earlier one.
+were computed for this call or shared with an earlier one. Across B, the
+step kernel's deviations of a replicate prefix are exact; the GEMM's last
+block has B mod 64 rows, and BLAS may round that shape differently, by
+about 1e-15.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
@@ -97,6 +102,17 @@ class SeedRecord:
 def _seed_record(seed: SeedRecord | int) -> SeedRecord:
     """``seed`` itself, or the record of an int master seed."""
     return SeedRecord(seed) if isinstance(seed, int) else seed
+
+
+def _replicate_count(B) -> int:
+    """``B`` as an int of at least 1: a non-integer B is refused, not truncated."""
+    try:
+        B = operator.index(B)
+    except TypeError:
+        raise ValueError(f"B must be an integer, not {B!r}") from None
+    if B < 1:
+        raise ValueError("need B >= 1")
+    return B
 
 
 @dataclass(frozen=True)
@@ -202,116 +218,94 @@ def _signed_sups(g: np.ndarray, sign: str) -> np.ndarray:
     return np.abs(g).max(axis=1)
 
 
+def _kernel(matrix: LossMatrix):
+    """The deviation kernel of ``matrix``: ``kernel(rows, out)`` fills the k x m
+    ``out`` with the deviation rows sqrt(n) (L* - L) of k count rows c.
+
+    A stepped matrix (``LossMatrix._steps``: row i rises by 1/K at each of
+    its K bins) gets sum_{j' <= j} sum_{i,k: bins[i, k] = j'} (c_i - 1) /
+    (K sqrt(n)) at grid point j: a weighted histogram of the bins and a
+    cumulative sum, O(nK + m) per replicate. The weights sum to zero, so no
+    centering is needed, and the sums are exact integers until the one
+    division. Every other matrix gets ((c - 1) @ centered) / sqrt(n), one
+    GEMM per call, O(nm) per replicate: valid because the counts sum to n,
+    and exactly zero on constant columns because the values are
+    column-centered, once per kernel.
+    """
+    n, m = matrix.n, matrix.m
+    if matrix._steps is not None:
+        columns = np.ascontiguousarray(matrix._steps.T)
+        scale = len(columns) * math.sqrt(n)
+
+        def kernel(rows, out):
+            hist = np.zeros((len(out), m + 1))
+            for row, counts in zip(hist, rows):
+                weights = counts - 1.0
+                for column in columns:
+                    row += np.bincount(column, weights, minlength=m + 1)
+            np.cumsum(hist[:, :m], axis=1, out=out)
+            out /= scale
+        return kernel
+
+    centered = matrix.values - matrix.values.mean(axis=0)
+
+    def kernel(rows, out):
+        weights = np.empty((len(out), n))
+        for row, counts in zip(weights, rows):
+            np.subtract(counts, 1.0, out=row)
+        np.matmul(weights, centered, out=out)
+        out /= math.sqrt(n)
+    return kernel
+
+
 @dataclass
 class _Carry:
     """What ``_sup_values`` keeps between calls at a growing B, so that no
-    replicate is drawn twice: the centered matrix, the suprema of every
-    complete block, and the generator and count weights of a block drawn
-    only in part."""
+    replicate is drawn twice: the suprema of every complete block, and the
+    generator and count rows of a block drawn only in part."""
 
-    centered: np.ndarray | None = None
     sups: np.ndarray = field(default_factory=lambda: np.empty(0))
     rng: np.random.Generator | None = None
-    weights: np.ndarray | None = None
+    counts: list = field(default_factory=list)
 
 
-def _sup_values(
-    sub: np.ndarray,
-    n: int,
-    sign: str,
-    seed: SeedRecord,
-    B: int,
-    workers: int = 1,
-    keep: np.ndarray | None = None,
-    carry: _Carry | None = None,
-) -> np.ndarray:
-    """Unsorted per-replicate suprema over the columns of ``sub``, in fixed blocks.
+def _sup_values(matrix: LossMatrix, kernel, sign: str, seed: SeedRecord, B: int,
+                carry: _Carry, workers: int = 1) -> np.ndarray:
+    """Unsorted per-replicate suprema of the deviation rows of ``matrix``'s
+    ``kernel``, in fixed blocks.
 
-    Each block of replicates forms its deviation rows sqrt(n) (L* - L) =
-    ((counts - 1) @ centered) / sqrt(n), which is valid because the counts
-    sum to n, and exactly zero on constant columns because ``sub`` is
-    column-centered first. Only the O(B) suprema outlive a block, unless
-    ``keep`` (a B x columns array) is given to receive the deviation rows.
-
-    ``carry`` continues an earlier call on the same ``sub``, sign and seed
-    at a smaller B: it starts at the first incomplete block, and draws only
-    the replicates that call did not. Every GEMM has the shape it has in a
-    fresh call at this B, so the suprema are bit for bit a fresh call's.
+    Only the O(B) suprema outlive a block. ``carry`` continues an earlier
+    call with the same kernel, sign and seed at a smaller B: it starts at the
+    first incomplete block, and draws only the replicates that call did not.
+    Every kernel call has the shape it has in a fresh call at this B, so the
+    suprema are bit for bit a fresh call's.
     """
-    if carry is None:
-        carry = _Carry()
-    if carry.centered is None:
-        carry.centered = sub - sub.mean(axis=0)
-    sub = carry.centered
     start = carry.sups.size
     out = np.empty(B)
     out[:start] = carry.sups
     # read before any block runs, written after all have: the first block
     # resumes the old partial block, the last may leave a new one
-    resumed = (carry.rng, carry.weights)
-    partial = [None, None]
+    resumed = (carry.rng, carry.counts)
+    partial = [None, []]
 
     def work(b0):
-        b1 = min(b0 + _BLOCK, B)
-        weights = np.empty((b1 - b0, n))
-        if b0 == start and resumed[1] is not None:
-            rng, drawn = resumed[0], len(resumed[1])
-            weights[:drawn] = resumed[1]
+        k = min(_BLOCK, B - b0)
+        if b0 == start and resumed[0] is not None:
+            rng, drawn = resumed
         else:
-            rng, drawn = seed.generator(b0 // _BLOCK), 0
-        for row, counts in zip(weights[drawn:], _count_rows(n, rng, b1 - b0 - drawn)):
-            np.subtract(counts, 1.0, out=row)
-        if b1 - b0 < _BLOCK:
-            partial[:] = rng, weights
-        g = weights @ sub
-        g /= math.sqrt(n)
-        out[b0:b1] = _signed_sups(g, sign)
-        if keep is not None:
-            keep[b0:b1] = g
+            rng, drawn = seed.generator(b0 // _BLOCK), []
+        rows = itertools.chain(drawn, _count_rows(matrix.n, rng, k - len(drawn)))
+        if k < _BLOCK:
+            rows = list(rows)
+            partial[:] = rng, rows
+        g = np.empty((k, matrix.m))
+        kernel(rows, g)
+        out[b0:b0 + k] = _signed_sups(g, sign)
 
     _map(work, range(start, B, _BLOCK), workers)
     carry.sups = out[:B - B % _BLOCK].copy()
-    carry.rng, carry.weights = partial
+    carry.rng, carry.counts = partial
     return out
-
-
-def _step_deviations(
-    bins: np.ndarray,
-    n: int,
-    seed: SeedRecord,
-    B: int,
-    keep: np.ndarray,
-    workers: int = 1,
-) -> None:
-    """Deviation rows of a stepped matrix into ``keep``, from its n x K bins.
-
-    ``bins`` is the matrix's ``_steps``: row i has a jump of 1/K at each of
-    its K bins (``losses._step_counts`` counts them), so with
-    the replicate's counts c, sqrt(n) (L* - L) at grid point j is
-    sum_{j' <= j} sum_{i,k: bins[i, k] = j'} (c_i - 1) / (K sqrt(n)): a
-    weighted histogram of the bins and a cumulative sum, O(nK + m) per
-    replicate where the GEMM is O(nm). The weights sum to zero, so no
-    centering is needed, and the sums are exact integers until the one
-    division. Replicates are independent, so any block schedule gives the
-    same bits.
-    """
-    m = keep.shape[1]
-    columns = np.ascontiguousarray(bins.T)
-    scale = bins.shape[1] * math.sqrt(n)
-
-    def work(b0):
-        b1 = min(b0 + _BLOCK, B)
-        hist = np.zeros((b1 - b0, m + 1))
-        rows = _count_rows(n, seed.generator(b0 // _BLOCK), b1 - b0)
-        for row, counts in zip(hist, rows):
-            weights = counts - 1.0
-            for column in columns:
-                row += np.bincount(column, weights, minlength=m + 1)
-        g = keep[b0:b1]
-        np.cumsum(hist[:, :m], axis=1, out=g)
-        g /= scale
-
-    _map(work, range(0, B, _BLOCK), workers)
 
 
 def _map(fn, items, workers: int) -> None:
@@ -327,19 +321,23 @@ def _map(fn, items, workers: int) -> None:
 def _deviations(matrix: LossMatrix, seed: SeedRecord, B: int, workers: int = 1) -> np.ndarray:
     """Read-only B x m deviations of the replicates on the full grid.
 
-    Row b is sqrt(n) (L*_b - L) for replicate b. The matrix keeps the last
-    (seed, B) entry (the worker count cannot change the bits, so it is not
-    part of the key) and frees it with itself.
+    Row b is ``_kernel``'s sqrt(n) (L*_b - L) for replicate b. The matrix
+    keeps the last (seed, B) entry (the worker count cannot change the bits,
+    so it is not part of the key) and frees it with itself.
     """
     key = (seed, B)
     memo = matrix._replicates
     if memo is not None and memo[0] == key:
         return memo[1]
+    # g first: the other order raised peak RSS by 3.7 MB at n = 20 000 (heap layout)
     g = np.empty((B, matrix.m))
-    if matrix._steps is not None:
-        _step_deviations(matrix._steps, matrix.n, seed, B, g, workers=workers)
-    else:
-        _sup_values(matrix.values, matrix.n, "two-sided", seed, B, workers=workers, keep=g)
+    kernel = _kernel(matrix)
+
+    def work(b0):
+        k = min(_BLOCK, B - b0)
+        kernel(_count_rows(matrix.n, seed.generator(b0 // _BLOCK), k), g[b0:b0 + k])
+
+    _map(work, range(0, B, _BLOCK), workers)
     g.flags.writeable = False
     object.__setattr__(matrix, "_replicates", (key, g))
     return g
@@ -363,9 +361,7 @@ def sup_distribution(
     """
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}")
-    B = int(B)
-    if B < 1:
-        raise ValueError("need B >= 1")
+    B = _replicate_count(B)
     if subset is None:
         subset = IndexSet.full(matrix.grid)
     subset.check_against(matrix.grid)
@@ -399,7 +395,7 @@ def rr_band(
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}")
-    seed = _seed_record(seed)
+    seed, B = _seed_record(seed), _replicate_count(B)
     curve = empirical_risk(matrix)
     full = IndexSet.full(matrix.grid)
     sign = {"upper": "minus", "lower": "plus", "two-sided": "two-sided"}[side]
@@ -445,26 +441,28 @@ def suggest_b(
     An ECDF confidence band of half-width sqrt(log(2/eta)/(2B)) around the
     replicate distribution brackets the target quantile between two order
     statistics; B doubles until that bracket is narrower than
-    ``rel_tol * q_boot`` or the hard cap 2**20 is reached. Each doubling
-    draws only the new replicates. Lattice-valued suprema can keep the
-    bracket wide at any B: when no supremum lies strictly between its ends,
-    the search stops with ``lattice`` set. A zero bootstrap quantile
-    (degenerate matrix) short-circuits with a zero-width flag.
+    ``rel_tol * q_boot`` or the hard cap 2**20 is reached; an ``initial_b``
+    above the cap is refused before any draw. Each doubling draws only the
+    new replicates, and runs the matrix's own deviation kernel. Lattice-valued
+    suprema can keep the bracket wide at any B: when no supremum lies
+    strictly between its ends, the search stops with ``lattice`` set. A zero
+    bootstrap quantile (degenerate matrix) short-circuits with a zero-width
+    flag.
     """
     seed = _seed_record(seed)
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}")
-    if initial_b < 100:
-        raise ValueError("initial_b must be at least 100")
+    b = _replicate_count(initial_b)
+    if not 100 <= b <= _B_CAP:
+        raise ValueError(f"initial_b must lie in [100, {_B_CAP}]")
     if not 0.0 < bracket_confidence < 1.0:
         raise ValueError("bracket_confidence must lie in (0, 1)")
     eps_num = math.log(2.0 / (1.0 - bracket_confidence))
     history: list[tuple[int, float, float]] = []
-    carry = _Carry()
-    b = int(initial_b)
+    kernel, carry = _kernel(matrix), _Carry()
     while True:
         # streamed, not shared: B grows to 2**20, where B x m deviations would not fit
-        v = _sup_values(matrix.values, matrix.n, sign, seed, b, workers=workers, carry=carry)
+        v = _sup_values(matrix, kernel, sign, seed, b, carry, workers=workers)
         v.sort()
         q_boot = conservative_quantile(v, delta)
         if q_boot == 0.0:

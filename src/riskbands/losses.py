@@ -85,7 +85,7 @@ class LossMatrix:
     K the batch size, with ``values == _step_counts(_steps, m) / K``, so each
     row is a step function that rises by 1/K at each of its bins (a bin of m
     lies past the grid). The bootstrap reads it instead of the dense values
-    (see ``bootstrap._step_deviations``).
+    (see ``bootstrap._kernel``).
     """
 
     grid: ParameterGrid

@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bootstrap import SeedRecord, _clamped_note, _seed_record, _sup_quantile
+from .bootstrap import (SeedRecord, _clamped_note, _replicate_count, _seed_record,
+                        _sup_quantile)
 from .bounds import ConfidenceBand, _fixed_width_band
 from .empirical import IndexSet, RiskCurve, empirical_risk, sublevel_set
 from .losses import UNCONSTRAINED, LossMatrix, validate
@@ -47,8 +48,7 @@ class RRRConfig:
             raise ValueError("delta_glob and delta_loc must lie in (0, 1)")
         if self.delta_glob + self.delta_loc >= 1.0:
             raise ValueError("delta_glob + delta_loc must be below 1")
-        if int(self.B) < 1:
-            raise ValueError("need B >= 1")
+        object.__setattr__(self, "B", _replicate_count(self.B))
 
     @property
     def delta(self) -> float:

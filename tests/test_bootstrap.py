@@ -303,6 +303,19 @@ class TestRRBand:
         assert band.info["seed"]["seed"] == 77
         assert band.method == "rr"
 
+    def test_b_must_be_an_integer(self):
+        # refused, not truncated: 2.5 replicates are no 2 replicates
+        m = random_matrix(29, n=20, m=4)
+        for bad in (2.5, 64.0, np.float64(64.0)):
+            with pytest.raises(ValueError):
+                rr_band(m, 0.1, bad, 1)
+            with pytest.raises(ValueError):
+                sup_distribution(m, None, "minus", bad, SeedRecord(1))
+        dist = sup_distribution(m, None, "minus", np.int64(64), SeedRecord(1))
+        assert dist.B == 64 and type(dist.B) is int
+        # echoed as an int, so the band's JSON sidecar can be written
+        assert type(rr_band(m, 0.1, np.int64(64), 1).info["B"]) is int
+
     def test_clamped_quantile_is_noted(self):
         m = random_matrix(26, n=40, m=6)
         # B = 50 needs delta >= 1/51 to reach an order statistic below the maximum
@@ -323,6 +336,18 @@ class TestSuggestB:
         m = random_matrix(4)
         with pytest.raises(ValueError):
             suggest_b(m, 0.1, SeedRecord(1), initial_b=50)
+        with pytest.raises(ValueError):
+            suggest_b(m, 0.1, SeedRecord(1), initial_b=150.5)
+
+    def test_initial_b_above_the_cap_draws_nothing(self, monkeypatch):
+        import riskbands.bootstrap as bootstrap_mod
+
+        def refuse(*args):
+            raise AssertionError("no replicate may be drawn")
+
+        monkeypatch.setattr(bootstrap_mod, "_count_rows", refuse)
+        with pytest.raises(ValueError, match="initial_b"):
+            suggest_b(random_matrix(4), 0.1, SeedRecord(1), initial_b=2**20 + 1)
 
     def test_terminates_brackets_and_is_stable(self):
         # continuous-valued losses keep the supremum distribution smooth, so
@@ -378,6 +403,25 @@ class TestSuggestB:
         sups = sup_distribution(fresh_copy(matrix), None, "minus", result.B, seed).sorted_values
         inside = (sups > result.bracket_low + 1e-12) & (sups < result.bracket_high - 1e-12)
         assert not inside.any()
+
+    def test_stepped_matrix_matches_its_dense_copy(self, monkeypatch):
+        import riskbands.bootstrap as bootstrap_mod
+        spec = GeneratorSpec(EQUICORRELATED, default_synthetic_grid(50), rho=0.2)
+        realized, _ = spec.realize(50, SeedRecord(5))
+        assert realized._steps is not None
+        for cap, tol, verdict in ((2**14, 0.2, "met"), (2**14, 0.01, "lattice"),
+                                  (800, 0.01, "capped")):
+            monkeypatch.setattr(bootstrap_mod, "_B_CAP", cap)
+            # the step kernel on the realized matrix, the GEMM on its copy
+            step = suggest_b(realized, 0.1, SeedRecord(6), initial_b=100, rel_tol=tol)
+            dense = suggest_b(fresh_copy(realized), 0.1, SeedRecord(6), initial_b=100,
+                              rel_tol=tol)
+            assert getattr(step, verdict)
+            assert [h[0] for h in step.history] == [h[0] for h in dense.history]
+            assert ((step.B, step.met, step.lattice, step.capped, step.degenerate)
+                    == (dense.B, dense.met, dense.lattice, dense.capped, dense.degenerate))
+            for (_, q_step, _), (_, q_dense, _) in zip(step.history, dense.history):
+                assert abs(q_step - q_dense) <= 1e-12
 
 
 def reference_deviations(matrix, seed, B, columns=None):
@@ -465,7 +509,8 @@ class TestReplicateEngine:
             rrr_band(fresh_copy(m), RRRConfig(seed=seed, r=0.5, B=B))
             assert len(draws) == 2 * blocks(B)
 
-    def test_suggest_b_draws_each_replicate_once(self, draws, monkeypatch):
+    @pytest.mark.parametrize("kind", ["dense", "stepped"])
+    def test_suggest_b_draws_each_replicate_once(self, draws, monkeypatch, kind):
         import riskbands.bootstrap as bootstrap_mod
         monkeypatch.setattr(bootstrap_mod, "_B_CAP", 800)
         rows = []
@@ -476,7 +521,13 @@ class TestReplicateEngine:
             return original(n, rng, k)
 
         monkeypatch.setattr(bootstrap_mod, "_count_rows", counted)
-        m = random_matrix(27, n=50, m=9)
+
+        def make():
+            return random_matrix(27, n=50, m=9) if kind == "dense" else stepped(50, 5, 27)
+
+        m = make()
+        assert (m._steps is not None) == (kind == "stepped")
+        draws.clear()  # a realization's own generators
         seed = SeedRecord(12)
         # 100 is no multiple of 64, so every doubling resumes a partial block
         result = suggest_b(m, 0.1, seed, initial_b=100, rel_tol=1e-9)
@@ -485,7 +536,8 @@ class TestReplicateEngine:
         assert sorted(draws) == [(seed, j) for j in range(blocks(800))]
         monkeypatch.undo()
         for b, q, _ in result.history:
-            dist = sup_distribution(fresh_copy(m), None, "minus", b, seed)
+            # a matrix of the same kind, whose replicates are computed afresh
+            dist = sup_distribution(make(), None, "minus", b, seed)
             assert q == conservative_quantile(dist.sorted_values, 0.1)
 
     def test_bands_match_reference_from_counts(self):

@@ -353,6 +353,22 @@ class TestSuggestBCommand:
         assert payload["criterion_met"] is False and payload["capped"] is False
         assert payload["bracket_width"] >= 0.01 * payload["q_boot"]
 
+    def test_initial_b_above_the_cap_is_a_domain_error(self, tmp_path, monkeypatch):
+        import riskbands.bootstrap as bootstrap_mod
+
+        def refuse(*args):
+            raise AssertionError("no replicate may be drawn")
+
+        monkeypatch.setattr(bootstrap_mod, "_count_rows", refuse)
+        path = tmp_path / "losses.csv"
+        write_loss_matrix(LossMatrix(ParameterGrid.linspace(0.0, 1.0, 3),
+                                     np.random.default_rng(0).random((20, 3))), path)
+        out = tmp_path / "sb.json"
+        code = main(["suggest-b", "--input", str(path), "--initial-b", "1048577",
+                     "--seed", "2", "--output", str(out)])
+        assert code == 5
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_small_simulation(self, tmp_path):

@@ -39,6 +39,14 @@ class TestRRRConfig:
         with pytest.raises(ValueError):
             config(r=1.5)
 
+    def test_b_must_be_an_integer(self):
+        # refused, not truncated; a numpy integer is an integer
+        for bad in (2.5, 100.0, "100"):
+            with pytest.raises(ValueError):
+                config(B=bad)
+        cfg = config(B=np.int64(64))
+        assert cfg.B == 64 and type(cfg.B) is int
+
 
 class TestRRRBand:
     def test_constant_below_r_covers_full_grid(self):
