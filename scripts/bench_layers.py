@@ -15,6 +15,11 @@ Layers, at n = m = B = 1000 on the equicorrelated generator unless noted:
 
 - replicate draws: the counts of 1000 replicates, drawn as the kernels
   draw them, at n = 1000 and n = 20 000;
+- at n = 1000 and n = 20 000: ``realize``, ``realize_pair``, ``validate``
+  on a freshly realized (stepped) matrix and on a fresh equal-valued dense
+  copy, the first ``empirical_risk`` of a fresh matrix, and a calibration
+  shaped like perfbench's ``large-n`` operation (realize, ``rr_band``,
+  ``rrr_band``);
 - ``_deviations`` (draws included) on a freshly realized stepped matrix
   (the step kernel) and on a fresh equal-valued dense copy (the GEMM); each
   repetition gets a new matrix, since a matrix keeps its last deviations;
@@ -69,8 +74,8 @@ def measure(reps: int) -> dict:
     """Seconds per repetition of each layer, and one library ``suggest_b``,
     in this process's riskbands."""
     from riskbands import (GeneratorSpec, LossMatrix, MethodSpec, RRRConfig, SeedRecord,
-                           default_synthetic_grid, rr_band, rrr_band, run_metrics,
-                           suggest_b)
+                           default_synthetic_grid, empirical_risk, rr_band, rrr_band,
+                           run_metrics, suggest_b, validate)
     from riskbands import bootstrap
     from riskbands.harness import EQUICORRELATED
 
@@ -95,12 +100,29 @@ def measure(reps: int) -> dict:
     out = {"draws_n1000": _timed(draws(1000), reps),
            "draws_n20000": _timed(draws(20_000), reps)}
 
-    def stepped():
-        return spec.realize(1000, SeedRecord(1))[0]
+    def fresh(n, dense=False):
+        def make():
+            matrix = spec.realize(n, SeedRecord(1))[0]
+            return LossMatrix(matrix.grid, matrix.values, matrix.orientation) if dense else matrix
+        return make
 
-    def dense():
-        matrix = stepped()
-        return LossMatrix(matrix.grid, matrix.values, matrix.orientation)
+    stepped, dense = fresh(1000), fresh(1000, dense=True)
+    cfg = RRRConfig(seed=seed, r=0.1, delta_glob=0.01, delta_loc=0.09, B=B)
+
+    def generator_path(n):
+        def calibrate():
+            matrix, _ = spec.realize(n, SeedRecord(6))
+            rr_band(matrix, 0.1, B, seed)
+            rrr_band(matrix, cfg)
+        return {f"realize_n{n}": _timed(lambda: spec.realize(n, SeedRecord(6)), reps),
+                f"realize_pair_n{n}": _timed(lambda: spec.realize_pair(n, SeedRecord(6)), reps),
+                f"validate_n{n}": _timed(validate, reps, fresh(n)),
+                f"validate_dense_n{n}": _timed(validate, reps, fresh(n, dense=True)),
+                f"empirical_risk_n{n}": _timed(empirical_risk, reps, fresh(n)),
+                f"calibration_n{n}": _timed(calibrate, reps)}
+
+    for n in (1000, 20_000):
+        out.update(generator_path(n))
 
     def deviations(matrix):
         bootstrap._deviations(matrix, seed, B)
@@ -115,7 +137,6 @@ def measure(reps: int) -> dict:
 
     shared, _ = spec.realize(1000, SeedRecord(3))
     rr_band(shared, 0.1, B, seed)
-    cfg = RRRConfig(seed=seed, r=0.1, delta_glob=0.01, delta_loc=0.09, B=B)
     out["rrr_band_after_rr_band"] = _timed(lambda: rrr_band(shared, cfg), reps)
 
     methods = [MethodSpec("nasm", delta=0.1), MethodSpec("rr", delta=0.1, B=B),

@@ -82,10 +82,18 @@ class IndexSet:
 
 
 def empirical_risk(matrix: LossMatrix) -> RiskCurve:
-    """Column means of the loss matrix, as a curve keyed by sample size."""
-    values = matrix.values.mean(axis=0)
-    # means of in-range entries are in range; clip strips float dust only
-    return RiskCurve(matrix.grid, np.clip(values, 0.0, 1.0), matrix.n)
+    """Column means of the loss matrix, as a curve keyed by sample size.
+
+    The curve is computed once per matrix and kept on it (``LossMatrix._curve``),
+    so every band, selection and metric on one matrix reads the same column
+    means; the values are read-only, so the kept curve cannot go stale.
+    """
+    curve = matrix._curve
+    if curve is None:
+        # means of in-range entries are in range; clip strips float dust only
+        curve = RiskCurve(matrix.grid, np.clip(matrix.values.mean(axis=0), 0.0, 1.0), matrix.n)
+        object.__setattr__(matrix, "_curve", curve)
+    return curve
 
 
 def sublevel_set(curve: RiskCurve, r: float) -> IndexSet:

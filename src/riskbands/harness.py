@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bootstrap import SeedRecord, _map, _seed_record, conservative_quantile, rr_band
+from .bootstrap import (SeedRecord, _map, _replicate_count, _seed_record, conservative_quantile,
+                        rr_band)
 from .bounds import ConfidenceBand, nasm_band, wsr_band, wsr_rejects, wsr_upper
 from .empirical import empirical_risk, sublevel_set
 from .losses import NONDECREASING, NONINCREASING, LossMatrix, ParameterGrid, _step_counts
@@ -150,16 +151,16 @@ class GeneratorSpec:
         z = self._draw_batches(n, seed.generator())
         K = z.shape[1]
         # the batch fraction of draws at or below each threshold: a step
-        # function of t that rises by 1/K at each draw's bin, kept as those bins
+        # function of t that rises by 1/K at each draw's bin, kept as those
+        # bins; the table c/K (the companion's 1 - c/K) is written directly
+        levels = np.arange(K + 1) / K
         bins = np.searchsorted(self.grid.values, z)
-        values = _step_counts(bins, m)
-        values /= K
-        primary = LossMatrix._owning(self.grid, values, NONDECREASING, steps=bins)
+        primary = LossMatrix._owning(self.grid, _step_counts(bins, m, levels), NONDECREASING,
+                                     steps=bins)
         if pair:
-            values = _step_counts(np.searchsorted(self.grid.values + self.tradeoff_shift, z), m)
-            values /= K
-            np.subtract(1.0, values, out=values)
-            companion = LossMatrix._owning(self.grid, values, NONINCREASING)
+            shifted = np.searchsorted(self.grid.values + self.tradeoff_shift, z)
+            companion = LossMatrix._owning(self.grid, _step_counts(shifted, m, 1.0 - levels),
+                                           NONINCREASING)
         return primary, companion, self.truth_values()
 
 
@@ -186,7 +187,12 @@ class MetricsReport:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """A band method's name and parameters; the one map from them to a band."""
+    """A band method's name and parameters; the one map from them to a band.
+
+    ``delta`` must lie in (0, 1), and ``B`` is kept as a plain int of at
+    least 1 (an integer-valued numpy scalar is converted; 2.5 is refused), so
+    ``config_echo`` is JSON-ready.
+    """
 
     name: str
     delta: float = 0.1
@@ -198,6 +204,9 @@ class MethodSpec:
     def __post_init__(self):
         if self.name not in METHOD_NAMES:
             raise ValueError(f"method must be one of {METHOD_NAMES}")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
+        object.__setattr__(self, "B", _replicate_count(self.B))
 
     def band(self, matrix: LossMatrix, seed: SeedRecord, side: str = "upper",
              workers: int = 1) -> ConfidenceBand:

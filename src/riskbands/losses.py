@@ -8,16 +8,23 @@ orientation validation, and the monotonization and batching transforms that
 restore monotonicity for nearly-monotone losses.
 
 Each row of a generated loss is a step function of t with one jump per class
-or batch draw; ``_step_counts`` builds both kinds from the jumps' grid bins, and
-the generator's matrices keep theirs: ``values == _step_counts(_steps, m) / K``.
+or batch draw; ``_step_counts`` builds both kinds from the jumps' grid bins, one
+run of a level per pair of consecutive bins, and the generator's matrices keep
+theirs: ``values == _step_counts(_steps, m) / K``. Such a matrix is
+nondecreasing and in [0, 1] by construction, so ``validate`` and the
+constructor's range check take it as given.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .empirical import RiskCurve
 
 NONINCREASING = "nonincreasing"
 NONDECREASING = "nondecreasing"
@@ -77,15 +84,19 @@ class LossMatrix:
     afterwards without changing the matrix.
 
     ``_replicates`` holds the bootstrap deviations of the last (seed, B) the
-    bootstrap computed for this matrix (see ``bootstrap._deviations``); the
-    values are read-only, so the entry stays valid for the matrix's lifetime.
+    bootstrap computed for this matrix (see ``bootstrap._deviations``), and
+    ``_curve`` its empirical risk curve once ``empirical.empirical_risk`` has
+    computed it; the values are read-only, so both stay valid for the
+    matrix's lifetime, and no other matrix shares them.
 
     ``_steps`` is the jump bins on the matrices the equicorrelated generator
     realizes and ``None`` on every other: a read-only n x K integer array,
     K the batch size, with ``values == _step_counts(_steps, m) / K``, so each
     row is a step function that rises by 1/K at each of its bins (a bin of m
     lies past the grid). The bootstrap reads it instead of the dense values
-    (see ``bootstrap._kernel``).
+    (see ``bootstrap._kernel``). Only the generator sets it, on a
+    nondecreasing matrix whose values come from a level table in [0, 1]: the
+    range scan and ``validate``'s scan are skipped for it.
     """
 
     grid: ParameterGrid
@@ -93,6 +104,7 @@ class LossMatrix:
     orientation: str = UNCONSTRAINED
     _replicates: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _steps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _curve: RiskCurve | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -105,20 +117,22 @@ class LossMatrix:
         """A matrix that takes over ``values``, an array nobody else holds.
 
         The constructor's checks, without its copy: the array itself is made
-        read-only and kept. ``steps`` becomes ``_steps``, made read-only too.
+        read-only and kept. ``steps`` becomes ``_steps``, made read-only too;
+        the generator's level table already keeps such values in [0, 1], so
+        they get the shape checks without the range scan.
         """
         v = np.asarray(values, dtype=float)
         self = cls.__new__(cls)
         for name, value in (("grid", grid), ("values", v), ("orientation", orientation),
-                            ("_replicates", None), ("_steps", steps)):
+                            ("_replicates", None), ("_steps", steps), ("_curve", None)):
             object.__setattr__(self, name, value)
-        self._check(v)
+        self._check(v, scan=steps is None)
         v.flags.writeable = False
         if steps is not None:
             steps.flags.writeable = False
         return self
 
-    def _check(self, v: np.ndarray) -> None:
+    def _check(self, v: np.ndarray, scan: bool = True) -> None:
         if v.ndim != 2:
             raise ValueError("loss values must be a 2-D array (samples x grid)")
         if v.shape[0] < 1:
@@ -129,7 +143,7 @@ class LossMatrix:
             )
         # min and max propagate NaN, so one range test also catches every
         # non-finite entry without an n x m mask
-        if not (v.min() >= 0.0 and v.max() <= 1.0):
+        if scan and not (v.min() >= 0.0 and v.max() <= 1.0):
             if not np.all(np.isfinite(v)):
                 raise ValueError("loss values must be finite")
             raise ValueError("loss values must lie in [0, 1]")
@@ -145,21 +159,27 @@ class LossMatrix:
         return int(self.values.shape[1])
 
 
-def _step_counts(bins: np.ndarray, m: int) -> np.ndarray:
-    """#{k : bins[i, k] <= j} as an n x m float array; a bin of m or more lies past the grid.
+def _step_counts(bins: np.ndarray, m: int, levels: np.ndarray | None = None) -> np.ndarray:
+    """The n x m float array ``levels[#{k : bins[i, k] <= j}]``; a bin of m or more is off the grid.
 
-    One scatter per column of ``bins`` (its rows are distinct), then a
-    cumulative sum in place: no n x K x m tensor is formed, and the counts
-    are exact.
+    ``levels`` is a table of K + 1 values, K the columns of ``bins``; by default
+    the counts 0..K themselves. Row i is levels[0] up to its smallest bin, then
+    levels[1] up to the next, and so on: its sorted bins, clipped to m, give
+    the K + 1 run lengths, and one ``np.repeat`` of the table over them writes
+    the output. That is one pass over the n x m output and no other n x m
+    array; each entry is a copy of a table value, so a count is exact and a
+    level is bit for bit what the same arithmetic on the count gives.
     """
-    n = bins.shape[0]
-    counts = np.zeros((n, m))
-    rows = np.arange(n)
-    for col in bins.T:
-        inside = col < m
-        counts[rows[inside], col[inside]] += 1.0
-    np.cumsum(counts, axis=1, out=counts)
-    return counts
+    n, K = bins.shape
+    if levels is None:
+        levels = np.arange(K + 1, dtype=float)
+    edges = np.empty((n, K + 2), dtype=np.intp)
+    edges[:, 0] = 0
+    edges[:, -1] = m
+    inner = edges[:, 1:-1]
+    np.minimum(bins, m, out=inner)
+    inner.sort(axis=1)
+    return np.repeat(np.tile(levels, n), np.diff(edges, axis=1).ravel()).reshape(n, m)
 
 
 @dataclass(frozen=True)
@@ -214,9 +234,10 @@ def validate(matrix: LossMatrix, tolerance: float = 0.0) -> ValidationReport:
     orientation is scanned. Violations are reported, never raised. The check
     is exact by default (``tolerance`` 0); a positive tolerance permits
     monotonicity violations up to that size, for user-supplied matrices with
-    float dust.
+    float dust. A matrix with ``_steps`` passes without a scan: only the
+    generator builds one, and its rows are nondecreasing by construction.
     """
-    if matrix.orientation == UNCONSTRAINED or matrix.m == 1:
+    if matrix._steps is not None or matrix.orientation == UNCONSTRAINED or matrix.m == 1:
         return ValidationReport(True)
     # _ROW_BLOCK rows at a time, so no difference array spans the whole matrix
     for start in range(0, matrix.n, _ROW_BLOCK):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,18 @@ class TestEmpiricalRisk:
     def test_constant(self):
         m = LossMatrix(grid(4), np.full((7, 4), 0.25))
         assert np.all(empirical_risk(m).values == 0.25)
+
+    def test_curve_is_kept_on_its_matrix(self):
+        values = np.random.default_rng(4).random((9, 5))
+        m = LossMatrix(grid(5), values)
+        curve = empirical_risk(m)
+        assert empirical_risk(m) is curve
+        # an equal-valued matrix, and a copy made by replace, get their own
+        for other in (LossMatrix(grid(5), values), dataclasses.replace(m)):
+            again = empirical_risk(other)
+            assert again is not curve
+            assert again.values.tobytes() == curve.values.tobytes()
+        assert curve.values.tobytes() == np.clip(values.mean(axis=0), 0.0, 1.0).tobytes()
 
     def test_monotone_input_gives_monotone_curve(self):
         rng = np.random.default_rng(3)

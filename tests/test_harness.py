@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -163,6 +164,23 @@ class TestGenerator:
             tracemalloc.stop()
         assert matrix.values.nbytes == 16_000_000
         assert peak - before <= 1.25 * matrix.values.nbytes
+
+    def test_realize_pair_holds_its_two_outputs(self):
+        # each matrix is written straight from its level table: no count
+        # array, in-place division or complement pass beside the two outputs
+        spec = spec_for(0.2, default_synthetic_grid())
+        spec.realize_pair(10, SeedRecord(0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            primary, companion, _ = spec.realize_pair(2000, SeedRecord(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = primary.values.nbytes + companion.values.nbytes
+        assert outputs == 32_000_000
+        assert peak - before <= 1.1 * outputs
 
     def test_pair_has_interior_tradeoff(self):
         # the companion's population risk is 1 - Phi(t + shift), so the sum
@@ -546,3 +564,21 @@ class TestMethodSpec:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             MethodSpec("bootstrap")
+
+    @pytest.mark.parametrize("B", [2.5, 100.0, "100", 0, -3])
+    def test_b_must_be_a_positive_integer(self, B):
+        with pytest.raises(ValueError, match="B"):
+            MethodSpec("rr", B=B)
+
+    def test_numpy_integer_b_is_stored_as_an_int(self):
+        for name in ("rr", "rrr", "nasm"):
+            spec = MethodSpec(name, B=np.int64(100))
+            assert type(spec.B) is int and spec.B == 100
+            json.dumps(spec.config_echo())
+        assert MethodSpec("rr", B=np.int64(100)).config_echo()["B"] == 100
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_delta_outside_the_unit_interval_is_refused(self, delta):
+        for name in METHOD_NAMES:
+            with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+                MethodSpec(name, delta=delta)

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from riskbands import (
     BinaryScorePanel,
+    GeneratorSpec,
     LossMatrix,
     ParameterGrid,
+    SeedRecord,
     batch,
     empirical_risk,
     monotonize,
@@ -16,6 +18,7 @@ from riskbands import (
     validate,
 )
 from riskbands import losses
+from riskbands.harness import EQUICORRELATED
 from riskbands.losses import ValidationReport
 
 
@@ -117,6 +120,22 @@ class TestValidate:
         m = LossMatrix(grid(0.0, 1.0), [[0.5, 0.5 + 1e-12]], "nonincreasing")
         assert not validate(m).passed
         assert validate(m, tolerance=1e-9).passed
+
+    def test_stepped_matrix_passes_and_its_dense_copy_is_still_scanned(self):
+        spec = GeneratorSpec(EQUICORRELATED, ParameterGrid.linspace(-2.0, 2.0, 30), rho=0.2)
+        stepped, _ = spec.realize(50, SeedRecord(4))
+        assert stepped._steps is not None and validate(stepped).passed
+        values = stepped.values.copy()
+        assert validate(LossMatrix(stepped.grid, values, "nondecreasing")).passed
+        # one drop in an otherwise equal-valued copy: the scan must find it
+        values[17, 12] = values[17, 11] - 0.2
+        report = validate(LossMatrix(stepped.grid, values, "nondecreasing"))
+        assert not report.passed
+        assert (report.first_row, report.first_col) == (17, 12)
+        # the generator's step form is taken as given: no scan reads the values
+        trusted = LossMatrix._owning(stepped.grid, values, "nondecreasing",
+                                     steps=stepped._steps.copy())
+        assert validate(trusted).passed
 
 
 def reference_validate(matrix, tolerance=0.0):
@@ -304,6 +323,74 @@ class TestThresholdLossesStepForm:
             tracemalloc.stop()
         assert out.values.nbytes == 16_000_000
         assert peak - before <= factor * out.values.nbytes
+
+
+def reference_step_counts(bins, m):
+    """The scatter-plus-cumsum build that the run-length fill replaced."""
+    n = bins.shape[0]
+    counts = np.zeros((n, m))
+    rows = np.arange(n)
+    for col in bins.T:
+        inside = col < m
+        counts[rows[inside], col[inside]] += 1.0
+    np.cumsum(counts, axis=1, out=counts)
+    return counts
+
+
+def same_bits(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+class TestStepCounts:
+    @pytest.mark.parametrize("n, K, m", [(1, 1, 1), (1, 5, 1), (9, 1, 1), (1, 1, 40),
+                                         (1, 6, 40), (50, 1, 30), (64, 9, 3), (300, 5, 1000)])
+    def test_bit_identical_to_the_scatter_and_cumsum(self, n, K, m):
+        rng = np.random.default_rng([n, K, m])
+        levels = np.arange(K + 1) / K
+        # bins of m (past the grid), bins above m, and few distinct bins, so
+        # that rows repeat bins; then rows wholly past the grid, wholly at its
+        # start, and one bin repeated K times
+        cases = [rng.integers(0, m + 1, (n, K)), rng.integers(0, m + 3, (n, K)),
+                 rng.integers(0, 2, (n, K)), np.full((n, K), m), np.zeros((n, K), dtype=int),
+                 np.full((n, K), m // 2)]
+        for bins in cases:
+            want = reference_step_counts(bins, m)
+            got = losses._step_counts(bins, m)
+            assert same_bits(got, want) and got.flags.c_contiguous
+            assert same_bits(losses._step_counts(bins, m, levels), want / K)
+            assert same_bits(losses._step_counts(bins, m, 1.0 - levels), 1.0 - want / K)
+
+    @pytest.mark.parametrize("n, batch_size, m", [(1, 5, 1000), (300, 5, 1000), (40, 1, 25),
+                                                  (40, 5, 1), (1, 1, 1)])
+    def test_generated_values_match_the_old_arithmetic(self, n, batch_size, m):
+        # the generator wrote counts / K and then 1 - counts / K in place
+        spec = GeneratorSpec(EQUICORRELATED, ParameterGrid.linspace(-2.5, 2.5, m), rho=0.2,
+                             batch_size=batch_size, tradeoff_shift=0.7)
+        seed = SeedRecord(12).child(n)
+        z = spec._draw_batches(n, seed.generator())
+        t = spec.grid.values
+        primary = reference_step_counts(np.searchsorted(t, z), m)
+        primary /= batch_size
+        companion = reference_step_counts(np.searchsorted(t + 0.7, z), m)
+        companion /= batch_size
+        np.subtract(1.0, companion, out=companion)
+        assert same_bits(spec.realize(n, seed)[0].values, primary)
+        paired, paired_companion, _ = spec.realize_pair(n, seed)
+        assert same_bits(paired.values, primary)
+        assert same_bits(paired_companion.values, companion)
+
+    @pytest.mark.parametrize("kind", losses.LOSS_KINDS)
+    @pytest.mark.parametrize("n, K", [(1, 1), (1, 6), (9, 1), (40, 7)])
+    def test_threshold_losses_match_the_old_build(self, monkeypatch, kind, n, K):
+        rng = np.random.default_rng([n, K, 3])
+        for t in (np.array([0.5]), np.linspace(0.0, 1.0, 11), np.sort(rng.random(300))):
+            panel = random_panel(rng, n, K, t)
+            got = threshold_losses(panel, ParameterGrid(t), kind).values
+            with monkeypatch.context() as patch:
+                patch.setattr(losses, "_step_counts", reference_step_counts)
+                want = threshold_losses(panel, ParameterGrid(t), kind).values
+            assert same_bits(got, want)
 
 
 def _panel():
