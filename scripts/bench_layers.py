@@ -21,11 +21,17 @@ Layers, at n = m = B = 1000 on the equicorrelated generator unless noted:
   shaped like perfbench's ``large-n`` operation (realize, ``rr_band``,
   ``rrr_band``);
 - ``_deviations`` (draws included) on a freshly realized stepped matrix
-  (the step kernel) and on a fresh equal-valued dense copy (the GEMM); each
-  repetition gets a new matrix, since a matrix keeps its last deviations;
+  (the step kernel) at n = 1000, 5000 and 20 000, and on a fresh
+  equal-valued dense copy (the GEMM) at n = 1000; each repetition gets a new
+  matrix, since a matrix keeps its last deviations;
+- the supremum reductions over kept deviations: rr's (``minus`` on the full
+  grid) and rrr's two (``two-sided`` on the full grid, ``minus`` on its
+  adjusted set);
 - a fresh ``realize`` + ``rr_band``, and ``rrr_band`` after ``rr_band``;
+- the betting test: ``wsr_rejects`` at the truth and ``wsr_band``;
 - per-run seconds of a criterion-3-shaped ``run_metrics`` call (nasm, rr,
-  pointwise; anywhere) at ``workers`` 1 and 2.
+  pointwise; anywhere) at ``workers`` 1 and 2, and of an ``mc-paper``-shaped
+  one (nasm, rr, rrr, pointwise; anywhere, selected, conservatism).
 
 One library ``suggest_b`` with default settings on the realized (stepped)
 matrix, once per process: its wall time, B and verdict. Then one
@@ -75,7 +81,8 @@ def measure(reps: int) -> dict:
     in this process's riskbands."""
     from riskbands import (GeneratorSpec, LossMatrix, MethodSpec, RRRConfig, SeedRecord,
                            default_synthetic_grid, empirical_risk, rr_band, rrr_band,
-                           run_metrics, suggest_b, validate)
+                           run_metrics, suggest_b, sup_distribution, validate, wsr_band,
+                           wsr_rejects)
     from riskbands import bootstrap
     from riskbands.harness import EQUICORRELATED
 
@@ -128,6 +135,8 @@ def measure(reps: int) -> dict:
         bootstrap._deviations(matrix, seed, B)
 
     out["step_deviations"] = _timed(deviations, reps, stepped)
+    for n in (5000, 20_000):
+        out[f"step_deviations_n{n}"] = _timed(deviations, reps, fresh(n))
     out["gemm_deviations"] = _timed(deviations, reps, dense)
 
     def fresh_rr():
@@ -135,9 +144,18 @@ def measure(reps: int) -> dict:
         rr_band(matrix, 0.1, B, seed)
     out["realize_rr_band"] = _timed(fresh_rr, reps)
 
-    shared, _ = spec.realize(1000, SeedRecord(3))
+    shared, truth = spec.realize(1000, SeedRecord(3))
     rr_band(shared, 0.1, B, seed)
     out["rrr_band_after_rr_band"] = _timed(lambda: rrr_band(shared, cfg), reps)
+    adjusted = rrr_band(shared, cfg).adjusted
+
+    def rrr_sups():
+        sup_distribution(shared, None, "two-sided", B, seed)
+        sup_distribution(shared, adjusted, "minus", B, seed)
+    out["rr_sups"] = _timed(lambda: sup_distribution(shared, None, "minus", B, seed), reps)
+    out["rrr_sups"] = _timed(rrr_sups, reps)
+    out["wsr_rejects"] = _timed(lambda: wsr_rejects(shared, truth, 0.1), reps)
+    out["wsr_band"] = _timed(lambda: wsr_band(shared, 0.1), reps)
 
     methods = [MethodSpec("nasm", delta=0.1), MethodSpec("rr", delta=0.1, B=B),
                MethodSpec("pointwise", delta=0.1)]
@@ -147,6 +165,10 @@ def measure(reps: int) -> dict:
             t / runs for t in _timed(lambda: run_metrics(
                 methods, spec, 1000, runs, SeedRecord(4), ["anywhere"], workers=workers),
                 reps)]
+    every = [MethodSpec(name, delta=0.1, B=B) for name in ("nasm", "rr", "rrr", "pointwise")]
+    out["mc_paper_run"] = [t / runs for t in _timed(lambda: run_metrics(
+        every, spec, 1000, runs, SeedRecord(8), ["anywhere", "selected", "conservatism"]),
+        reps)]
 
     matrix = stepped()
     t0 = time.perf_counter()

@@ -16,9 +16,14 @@ and draws each replicate once however often it doubles B.
 Each matrix has one deviation kernel (``_kernel``), and every consumer
 calls it. A matrix the generators built in step form (``LossMatrix._steps``)
 gets a weighted histogram of its jump bins and a cumulative sum over the
-grid, O(nK + m) per replicate; every other matrix gets one GEMM per block of
+grid, O(nK + m) per replicate, with the histograms of up to 2**14 / n
+replicates filled by one bincount per bin column (exact integer sums, so
+the grouping changes no bit); every other matrix gets one GEMM per block of
 replicates, O(nm) per replicate. Both draw the same counts from the same
-streams and agree to within float rounding (1e-12 on the quantiles).
+streams and agree to within float rounding (1e-12 on the quantiles). The
+suprema are reduced in place from the kept deviations, over a slice view
+when the index set is one run of consecutive grid points (the full grid,
+rrr's adjusted set), so no B x m copy is made.
 
 Determinism contract: replicates come in blocks of 64. Block j (replicates
 64j .. 64j+63) has one generator, keyed by (seed record, j), and replicate
@@ -39,7 +44,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -59,6 +63,10 @@ _BLOCK = 64
 # Row indices per draw call, about: a block is drawn max(1, _CHUNK // n) rows
 # at a time, so its working memory does not grow with _BLOCK * n.
 _CHUNK = 2**16
+
+# Bin entries per weighted bincount of the step kernel, about: its count rows
+# are taken max(1, _GROUP // n) at a time (see ``_kernel``).
+_GROUP = 2**14
 
 # Hard cap on replicate growth in suggest_b.
 _B_CAP = 2**20
@@ -207,15 +215,20 @@ def _clamped_note(B: int, *deltas: float) -> tuple[str, ...]:
 def _signed_sups(g: np.ndarray, sign: str) -> np.ndarray:
     """Per-row supremum of deviation rows (replicates x grid points).
 
-    No columns means an empty supremum, taken as zero.
+    No columns means an empty supremum, taken as zero. No negated or
+    absolute copy of ``g`` is made: -min is the maximum of the negation, and
+    max(max, -min) the largest absolute value.
     """
     if g.shape[1] == 0:
         return np.zeros(g.shape[0])
     if sign == "plus":
         return g.max(axis=1)
+    minus = -g.min(axis=1)
     if sign == "minus":
-        return (-g).max(axis=1)
-    return np.abs(g).max(axis=1)
+        return minus
+    # + 0.0: an all-zero row's largest absolute value is +0.0, whatever the
+    # signs of its zeros
+    return np.maximum(g.max(axis=1), minus) + 0.0
 
 
 def _kernel(matrix: LossMatrix):
@@ -225,24 +238,38 @@ def _kernel(matrix: LossMatrix):
     A stepped matrix (``LossMatrix._steps``: row i rises by 1/K at each of
     its K bins) gets sum_{j' <= j} sum_{i,k: bins[i, k] = j'} (c_i - 1) /
     (K sqrt(n)) at grid point j: a weighted histogram of the bins and a
-    cumulative sum, O(nK + m) per replicate. The weights sum to zero, so no
-    centering is needed, and the sums are exact integers until the one
-    division. Every other matrix gets ((c - 1) @ centered) / sqrt(n), one
-    GEMM per call, O(nm) per replicate: valid because the counts sum to n,
-    and exactly zero on constant columns because the values are
-    column-centered, once per kernel.
+    cumulative sum, O(nK + m) per replicate. The count rows come in groups
+    of g = max(1, _GROUP // n): bin column k holds the bins offset by
+    r (m + 1) for r < g, so one weighted bincount per column fills the
+    histograms of a whole group (K calls over g n entries, not g K calls
+    over n). At n > _GROUP / 2, g is 1 and the columns are the bins
+    themselves. The weights sum to zero, so no centering is needed, and
+    every histogram entry is an exact integer until the one division, so
+    neither the grouping nor the order of the adds can change a bit. Every
+    other matrix gets ((c - 1) @ centered) / sqrt(n), one GEMM per call,
+    O(nm) per replicate: valid because the counts sum to n, and exactly zero
+    on constant columns because the values are column-centered, once per
+    kernel.
     """
     n, m = matrix.n, matrix.m
     if matrix._steps is not None:
-        columns = np.ascontiguousarray(matrix._steps.T)
+        g = max(1, _GROUP // n)
+        # K x (g n): the one copy of the bins, offset per row of a group
+        columns = np.add(matrix._steps.T[:, None, :], np.arange(0, g * (m + 1), m + 1)[:, None],
+                         order="C").reshape(-1, g * n)
         scale = len(columns) * math.sqrt(n)
 
         def kernel(rows, out):
+            rows = iter(rows)
             hist = np.zeros((len(out), m + 1))
-            for row, counts in zip(hist, rows):
-                weights = counts - 1.0
+            weights = np.empty((g, n))
+            for start in range(0, len(out), g):
+                h = min(g, len(out) - start)
+                for row, counts in zip(weights[:h], rows):
+                    np.subtract(counts, 1.0, out=row)
+                flat, group = weights[:h].ravel(), hist[start:start + h].ravel()
                 for column in columns:
-                    row += np.bincount(column, weights, minlength=m + 1)
+                    group += np.bincount(column[:h * n], flat, minlength=h * (m + 1))
             np.cumsum(hist[:, :m], axis=1, out=out)
             out /= scale
         return kernel
@@ -311,6 +338,10 @@ def _sup_values(matrix: LossMatrix, kernel, sign: str, seed: SeedRecord, B: int,
 def _map(fn, items, workers: int) -> None:
     """Call ``fn`` on each item, on a pool of ``workers`` threads when above 1."""
     if workers > 1:
+        # imported here: concurrent.futures (and logging) would cost every
+        # serial run and every CLI call a few ms of import
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fn, items))
     else:
@@ -366,8 +397,14 @@ def sup_distribution(
         subset = IndexSet.full(matrix.grid)
     subset.check_against(matrix.grid)
     g = _deviations(matrix, seed, B, workers=workers)
-    # index sets are sorted and unique, so full length means every column
-    values = _signed_sups(g if len(subset) == matrix.m else g[:, subset.indices], sign)
+    # index sets are sorted and unique, so a run of consecutive indices (the
+    # full grid, or rrr's adjusted set) is a slice: a view, not a gathered copy
+    idx = subset.indices
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        g = g[:, idx[0]:idx[-1] + 1]
+    else:
+        g = g[:, idx]
+    values = _signed_sups(g, sign)
     values.sort()
     return BootstrapSupDistribution(values, B, sign, subset, seed)
 

@@ -9,11 +9,13 @@ Two families:
 - a per-threshold betting (capital-process) upper bound for means of [0,1]
   variables, valid at each fixed threshold separately but not simultaneously.
 
-The betting test runs over blocks of ``WSR_BLOCK`` grid columns: each block's
-betting fractions are computed once, and its capital passes (one for a test,
-32 for a bisection) reuse them while the block is still in cache. Working
-memory is O(n * WSR_BLOCK) whatever the grid size, and every column's
-arithmetic is the same as on the whole array.
+The betting test runs over blocks of ``WSR_BLOCK`` grid columns: each block
+is copied contiguous once, its betting fractions are computed once, and its
+capital passes (one for a test, 32 for a bisection) reuse them while the
+block is still in cache. Its running sums take two columns per add (the
+block's complex128 view, ``_cumsum0``). Working memory is O(n * WSR_BLOCK)
+whatever the grid size, and every column's arithmetic is the same as on the
+whole array, add for add.
 """
 
 from __future__ import annotations
@@ -153,6 +155,25 @@ def nasm_band(curve: RiskCurve, delta: float, side: str = "upper") -> Confidence
                              {"side": side})
 
 
+def _cumsum0(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.cumsum(a, axis=0, out=out)``, two columns per add where that is exact.
+
+    An axis-0 cumulative sum is one dependent chain of adds per column. A
+    C-contiguous block of even width (and ``out``, when given) is summed as
+    its complex128 view instead: a complex add adds the real and the
+    imaginary parts separately, so every column gets the same float64 adds in
+    the same order, bit for bit, and each step advances two chains. Any
+    other input takes ``np.cumsum`` itself.
+    """
+    pairs = (a.ndim == 2 and a.shape[1] % 2 == 0 and a.flags.c_contiguous
+             and (out is None or out.flags.c_contiguous))
+    if not pairs:
+        return np.cumsum(a, axis=0, out=out)
+    z = np.cumsum(a.view(np.complex128), axis=0,
+                  out=None if out is None else out.view(np.complex128))
+    return z.view(np.float64) if out is None else out
+
+
 def _wsr_lambdas(losses: np.ndarray, delta: float) -> np.ndarray:
     """Betting fractions for each observation (columnwise when 2-D).
 
@@ -166,18 +187,19 @@ def _wsr_lambdas(losses: np.ndarray, delta: float) -> np.ndarray:
         steps = steps[:, None]
     # in place where possible: at most two arrays of the losses' size (one
     # n x WSR_BLOCK block) live at once
-    mu = np.cumsum(losses, axis=0)
+    mu = _cumsum0(losses)
     mu += 0.5
     mu /= 1.0 + steps
     sq = losses - mu
     del mu
     np.square(sq, out=sq)
-    s2 = np.cumsum(sq, axis=0)
+    # the fraction at step i uses the variance through step i-1: the running
+    # sum through step i-1 is written to row i, so no shifted copy is made
+    s2 = np.empty_like(sq)
+    _cumsum0(sq[:-1], out=s2[1:])
     del sq
-    s2 += 0.25
-    s2 /= 1.0 + steps
-    # the fraction at step i uses the variance through step i-1
-    s2[1:] = s2[:-1]
+    s2[1:] += 0.25
+    s2[1:] /= 1.0 + steps[:-1]
     s2[:1] = 0.25
     s2 *= n
     np.divide(2.0 * np.log(1.0 / delta), s2, out=s2)
@@ -199,15 +221,17 @@ def _capital_rejects(losses: np.ndarray, lam: np.ndarray, p, log_threshold: floa
     np.subtract(1.0, factors, out=factors)
     with np.errstate(divide="ignore"):
         np.log(factors, out=factors)
-    np.cumsum(factors, axis=0, out=factors)
+    _cumsum0(factors, out=factors)
     return factors.max(axis=0) > log_threshold
 
 
 def _wsr_blocks(values: np.ndarray, delta: float):
-    """Each block of at most ``WSR_BLOCK`` columns: its column slice, losses and fractions."""
+    """Each block of at most ``WSR_BLOCK`` columns: its column slice, its
+    losses copied contiguous once (so every pass over it reads rows, not
+    strided columns), and its fractions."""
     for start in range(0, values.shape[1], WSR_BLOCK):
         cols = slice(start, start + WSR_BLOCK)
-        block = values[:, cols]
+        block = np.ascontiguousarray(values[:, cols])
         yield cols, block, _wsr_lambdas(block, delta)
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import sys
 import time
 from dataclasses import MISSING, asdict, fields
@@ -84,7 +83,8 @@ def _refuse_overwrite(outputs, inputs, what: str = "command") -> None:
 
 def _resolve_seed(value: int | None) -> SeedRecord:
     if value is None:
-        value = secrets.randbits(63)
+        # 63 random bits from the OS; the secrets module would import hashlib
+        value = int.from_bytes(os.urandom(8), "little") >> 1
     return SeedRecord(value)
 
 

@@ -191,7 +191,9 @@ class MethodSpec:
 
     ``delta`` must lie in (0, 1), and ``B`` is kept as a plain int of at
     least 1 (an integer-valued numpy scalar is converted; 2.5 is refused), so
-    ``config_echo`` is JSON-ready.
+    ``config_echo`` is JSON-ready. An rrr spec's ``r``, ``delta_glob`` and
+    ``delta_loc`` pass ``RRRConfig``'s checks on construction, before any
+    band is built.
     """
 
     name: str
@@ -207,6 +209,12 @@ class MethodSpec:
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
         object.__setattr__(self, "B", _replicate_count(self.B))
+        if self.name == "rrr":
+            self._rrr_config(SeedRecord(0))
+
+    def _rrr_config(self, seed: SeedRecord) -> RRRConfig:
+        return RRRConfig(seed=seed, r=self.r, delta_glob=self.delta_glob,
+                         delta_loc=self.delta_loc, B=self.B)
 
     def band(self, matrix: LossMatrix, seed: SeedRecord, side: str = "upper",
              workers: int = 1) -> ConfidenceBand:
@@ -218,9 +226,7 @@ class MethodSpec:
         if self.name == "rr":
             return rr_band(matrix, self.delta, self.B, seed, side=side, workers=workers)
         if self.name == "rrr":
-            cfg = RRRConfig(seed=seed, r=self.r, delta_glob=self.delta_glob,
-                            delta_loc=self.delta_loc, B=self.B)
-            return rrr_band(matrix, cfg, workers=workers).band
+            return rrr_band(matrix, self._rrr_config(seed), workers=workers).band
         return wsr_band(matrix, self.delta)
 
     def upper_band(self, matrix: LossMatrix, seed: SeedRecord, workers: int = 1) -> ConfidenceBand:

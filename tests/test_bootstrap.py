@@ -648,3 +648,197 @@ class TestReplicateEngine:
         assert not any(t.is_alive() for t in threads)
         for got, want in zip(results, expected):
             assert np.array_equal(got, want)
+
+
+def same_bits(got, want):
+    """Equal arrays down to the last bit, the sign of a zero included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def reference_step_kernel(matrix):
+    """The per-replicate step kernel: K weighted bincounts over n bins per count row."""
+    columns = np.ascontiguousarray(matrix._steps.T)
+    m = matrix.m
+    scale = len(columns) * math.sqrt(matrix.n)
+
+    def kernel(rows, out):
+        hist = np.zeros((len(out), m + 1))
+        for row, counts in zip(hist, rows):
+            weights = counts - 1.0
+            for column in columns:
+                row += np.bincount(column, weights, minlength=m + 1)
+        np.cumsum(hist[:, :m], axis=1, out=out)
+        out /= scale
+    return kernel
+
+
+def reference_gemm_kernel(matrix):
+    """The GEMM kernel: ((c - 1) @ centered) / sqrt(n) per block of count rows."""
+    centered = matrix.values - matrix.values.mean(axis=0)
+
+    def kernel(rows, out):
+        weights = np.array([counts - 1.0 for counts in rows])
+        np.matmul(weights, centered, out=out)
+        out /= math.sqrt(matrix.n)
+    return kernel
+
+
+def reference_block_deviations(matrix, seed, B):
+    """B x m deviations, block by block, from the reference kernel of the matrix's kind."""
+    kernel = (reference_gemm_kernel if matrix._steps is None else reference_step_kernel)(matrix)
+    g = np.empty((B, matrix.m))
+    for b0 in range(0, B, 64):
+        k = min(64, B - b0)
+        kernel(_count_rows(matrix.n, seed.generator(b0 // 64), k), g[b0:b0 + k])
+    return g
+
+
+def reference_signed_sups(g, sign):
+    """Per-row suprema through a negated or absolute copy of the rows."""
+    if g.shape[1] == 0:
+        return np.zeros(g.shape[0])
+    if sign == "plus":
+        return g.max(axis=1)
+    if sign == "minus":
+        return (-g).max(axis=1)
+    return np.abs(g).max(axis=1)
+
+
+def reference_sorted_sups(g, indices, sign):
+    """Sorted suprema over ``indices``, reduced from a gathered copy of their columns."""
+    return np.sort(reference_signed_sups(g if indices.size == g.shape[1] else g[:, indices],
+                                         sign))
+
+
+class TestGroupedStepKernel:
+    """The grouped step kernel equals the per-replicate loop bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 7, 1000, 5000, 20_000])
+    @pytest.mark.parametrize("batch_size", [1, 5])
+    def test_equals_the_per_replicate_loop(self, n, batch_size):
+        seed = SeedRecord(51).child(n)
+        want = reference_block_deviations(stepped(n, batch_size, 50 + n), seed, 1000)
+        for B in (1, 63, 64, 65, 1000):
+            # a fresh matrix per B, so none reads another's kept deviations
+            got = _deviations(stepped(n, batch_size, 50 + n), seed, B)
+            assert same_bits(got, want[:B]), B
+
+    @pytest.mark.parametrize("group", [1, 3, 21, 64 * 7])
+    def test_any_group_size_gives_the_same_bits(self, monkeypatch, group):
+        import riskbands.bootstrap as bootstrap_mod
+        # n = 7: groups of 1, 3 and 21 replicates leave a short last group in
+        # each block; 64 * 7 takes a whole block at once
+        monkeypatch.setattr(bootstrap_mod, "_GROUP", 7 * group)
+        seed = SeedRecord(52)
+        want = reference_block_deviations(stepped(7, 5, 53), seed, 150)
+        assert same_bits(_deviations(stepped(7, 5, 53), seed, 150), want)
+        assert same_bits(_deviations(stepped(7, 5, 53), seed, 150, workers=3), want)
+
+    def test_paper_scale_equals_the_per_replicate_loop(self):
+        spec = GeneratorSpec(EQUICORRELATED, default_synthetic_grid(), rho=0.2)
+        seed = SeedRecord(55)
+        # two realizations, so the kernel under test reads no kept deviations
+        want = reference_block_deviations(spec.realize(1000, SeedRecord(54))[0], seed, 1000)
+        assert same_bits(_deviations(spec.realize(1000, SeedRecord(54))[0], seed, 1000), want)
+
+
+class TestCopyFreeSuprema:
+    """Suprema reduced in place, over a slice where the subset is one run of
+    indices, equal the copy-based reduction bit for bit, zeros' signs included."""
+
+    @staticmethod
+    def subsets(m, rng):
+        return {"empty": np.array([], dtype=np.int64), "full": np.arange(m),
+                "prefix": np.arange(m // 3), "middle run": np.arange(m // 4, m - m // 4),
+                "last": np.array([m - 1]), "two runs": np.r_[1:m // 5, m // 3:m // 2],
+                "scattered": np.sort(rng.choice(m, m // 10, replace=False))}
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("n", [7, 1000])
+    def test_every_sign_and_subset(self, dense, n):
+        spec = GeneratorSpec(EQUICORRELATED, default_synthetic_grid(), rho=0.2)
+        matrix, _ = spec.realize(n, SeedRecord(56))
+        if dense:
+            matrix = fresh_copy(matrix)
+        seed, B = SeedRecord(57), 1000
+        g = reference_block_deviations(matrix, seed, B)
+        for name, idx in self.subsets(matrix.m, np.random.default_rng(58)).items():
+            for sign in ("plus", "minus", "two-sided"):
+                got = sup_distribution(matrix, IndexSet(idx), sign, B, seed).sorted_values
+                assert same_bits(got, reference_sorted_sups(g, idx, sign)), (name, sign)
+
+    @pytest.mark.parametrize("n, dense", [(7, False), (7, True), (1000, False), (1000, True),
+                                          (20_000, False)])
+    def test_rr_and_rrr_quantiles_and_sets(self, n, dense):
+        spec = GeneratorSpec(EQUICORRELATED, default_synthetic_grid(), rho=0.2)
+        matrix, _ = spec.realize(n, SeedRecord(59))
+        if dense:
+            matrix = fresh_copy(matrix)
+        seed, B = SeedRecord(60), 1000
+        g = reference_block_deviations(matrix, seed, B)
+        full = np.arange(matrix.m)
+        for side, sign in (("upper", "minus"), ("lower", "plus"), ("two-sided", "two-sided")):
+            band = rr_band(matrix, 0.1, B, seed, side=side)
+            assert band.info["q_hat"] == conservative_quantile(
+                reference_sorted_sups(g, full, sign), 0.1)
+        cfg = RRRConfig(seed=seed, B=B)
+        result = rrr_band(matrix, cfg)
+        q_glob = conservative_quantile(reference_sorted_sups(g, full, "two-sided"),
+                                       cfg.delta_glob)
+        assert same_bits(result.q_glob, q_glob)
+        curve = empirical_risk(matrix).values
+        adjusted = np.flatnonzero(curve <= cfg.r + 2.0 * q_glob / math.sqrt(n))
+        assert np.array_equal(result.adjusted.indices, adjusted)
+        assert np.array_equal(result.sublevel.indices, np.flatnonzero(curve <= cfg.r))
+        assert same_bits(result.q_loc, conservative_quantile(
+            reference_sorted_sups(g, adjusted, "minus"), cfg.delta_loc))
+        assert same_bits(result.band.upper,
+                         np.clip(curve + result.q_loc / math.sqrt(n), 0.0, 1.0))
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 64, 65, 1000])
+    def test_signed_zeros(self, m):
+        from riskbands.bootstrap import _signed_sups
+        rng = np.random.default_rng(61 + m)
+        zeros = rng.choice([0.0, -0.0], size=(400, m + 5))
+        rows = np.where(rng.random(zeros.shape) < 0.3, 0.5, zeros)
+        # all zeros; zeros and positives; zeros and negatives; anything
+        g = np.concatenate([zeros[:100], rows[100:200], -rows[200:300], rows[300:] *
+                            rng.choice([1.0, -1.0], size=(100, m + 5))])
+        for start in (0, 1, 5):
+            view = g[:, start:start + m]
+            for sign in ("plus", "minus", "two-sided"):
+                want = reference_signed_sups(np.ascontiguousarray(view), sign)
+                assert same_bits(_signed_sups(view, sign), want), (start, sign)
+                assert same_bits(_signed_sups(view.copy(), sign), want), (start, sign)
+
+    def test_constant_columns_on_the_dense_path(self):
+        rng = np.random.default_rng(62)
+        values = np.sort(rng.random((50, 12)), axis=1)
+        values[:, :4] = 0.0
+        values[:, 9:] = 1.0
+        for matrix in (LossMatrix(ParameterGrid.linspace(0.0, 1.0, 12), values),
+                       LossMatrix(ParameterGrid.linspace(0.0, 1.0, 6), np.full((30, 6), 0.5))):
+            seed = SeedRecord(63)
+            g = reference_block_deviations(matrix, seed, 130)
+            for idx in (np.arange(matrix.m), np.arange(3), np.array([0, 2]), np.array([1])):
+                for sign in ("plus", "minus", "two-sided"):
+                    got = sup_distribution(matrix, IndexSet(idx), sign, 130, seed).sorted_values
+                    assert same_bits(got, reference_sorted_sups(g, idx, sign)), (idx, sign)
+
+    @pytest.mark.parametrize("kind", ["stepped", "dense", "random"])
+    @pytest.mark.parametrize("sign", ["plus", "minus", "two-sided"])
+    def test_resumed_suggest_b_history(self, monkeypatch, kind, sign):
+        import riskbands.bootstrap as bootstrap_mod
+        monkeypatch.setattr(bootstrap_mod, "_B_CAP", 800)
+        matrix = {"stepped": lambda: stepped(400, 5, 64),
+                  "dense": lambda: fresh_copy(stepped(400, 5, 64)),
+                  "random": lambda: random_matrix(65, n=60, m=9)}[kind]()
+        seed = SeedRecord(66)
+        result = suggest_b(matrix, 0.1, seed, initial_b=100, sign=sign, rel_tol=1e-6)
+        # 100 replicates leave a partial block, which the next doubling resumes
+        assert len(result.history) >= 2
+        for b, q, _ in result.history:
+            want = reference_sorted_sups(reference_block_deviations(matrix, seed, b),
+                                         np.arange(matrix.m), sign)
+            assert same_bits(q, conservative_quantile(want, 0.1)), b

@@ -21,7 +21,7 @@ from riskbands import (
     wsr_rejects,
     wsr_upper,
 )
-from riskbands.bounds import _capital_rejects, _wsr_blocks, _wsr_lambdas
+from riskbands.bounds import _capital_rejects, _cumsum0, _wsr_blocks, _wsr_lambdas
 
 
 def oracle_lambdas(losses, delta):
@@ -60,7 +60,8 @@ def wsr_oracle_scan(losses, delta):
 
 
 def whole_lambdas(losses, delta):
-    """The betting fractions over a whole n x m array at once: the unblocked form."""
+    """The betting fractions over a whole n x m array at once: the unblocked
+    form, with ``np.cumsum`` and a shifted copy of the running variance."""
     n = losses.shape[0]
     steps = np.arange(1, n + 1, dtype=float)[:, None]
     mu = np.cumsum(losses, axis=0)
@@ -80,7 +81,8 @@ def whole_lambdas(losses, delta):
 
 
 def whole_log_capital(losses, lam, p):
-    """Each column's largest running log capital, over a whole n x m array at once."""
+    """Each column's largest running log capital, over a whole n x m array at
+    once, with ``np.cumsum``."""
     factors = 1.0 - lam * (losses - p)
     with np.errstate(divide="ignore"):
         np.log(factors, out=factors)
@@ -409,3 +411,55 @@ class TestWsrBlocks:
         finally:
             tracemalloc.stop()
         assert max(peaks) < 4_000_000, peaks
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestPairedColumns:
+    """Contiguous blocks and two-column running sums change no bit of the betting test."""
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    @pytest.mark.parametrize("k", [1, 2, 7, 63, 64, 65])
+    def test_cumsum0_equals_cumsum(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        wide = rng.random((n, k + 3))
+        for a in (wide[:, :k].copy(), np.asfortranarray(wide[:, :k]), wide[:, 1:k + 1],
+                  wide[:, :k].copy()[::-1], wide[:, 0]):
+            want = np.cumsum(a, axis=0)
+            assert same_bits(_cumsum0(a), want)
+            out = np.empty_like(want)
+            assert _cumsum0(a, out=out) is out and same_bits(out, want)
+            inplace = a.copy()
+            _cumsum0(inplace, out=inplace)
+            assert same_bits(inplace, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_blocks_equal_the_whole_array(self, monkeypatch, n, dense):
+        spec = GeneratorSpec("equicorrelated-gaussian-cdf", default_synthetic_grid(130), rho=0.2)
+        matrix, truth = spec.realize(n, SeedRecord(n))
+        assert matrix._steps is not None
+        if dense:
+            matrix = LossMatrix(matrix.grid, matrix.values.copy(), matrix.orientation)
+        delta, values = 0.1, matrix.values
+        lam = whole_lambdas(values, delta)
+        thr = math.log(1.0 / delta)
+        upper = whole_bisect(values, delta)
+        p = np.random.default_rng(n).random(matrix.m)
+        for block in (1, 7, 63, 64, 65):
+            monkeypatch.setattr(riskbands.bounds, "WSR_BLOCK", block)
+            for cols, b_values, b_lam in _wsr_blocks(values, delta):
+                assert b_values.flags.c_contiguous
+                assert same_bits(b_lam, lam[:, cols]), (block, cols)
+                # a strided column view takes the plain cumulative sum
+                assert same_bits(_wsr_lambdas(values[:, cols], delta), lam[:, cols])
+                for q in (p[cols], truth[cols]):
+                    assert same_bits(_capital_rejects(b_values, b_lam, q, thr),
+                                     whole_capital_rejects(values[:, cols], lam[:, cols], q,
+                                                           thr))
+            assert same_bits(wsr_band(matrix, delta).upper, upper), block
+            assert same_bits(wsr_rejects(matrix, truth, delta),
+                             whole_capital_rejects(values, lam, truth, thr)), block

@@ -450,6 +450,21 @@ class TestEvalCommand:
         assert "error[domain]" in err and "delta_typo" in err
         assert not prefix.with_suffix(".csv").exists()
 
+    def test_rrr_budget_is_refused_before_any_run(self, tmp_path, capsys, monkeypatch):
+        import riskbands.cli as cli_mod
+        runs = []
+        monkeypatch.setattr(cli_mod, "run_metrics", lambda *a, **k: runs.append(a))
+        code, prefix = self.run_descriptor(tmp_path, {
+            "generator": {"family": "equicorrelated",
+                          "grid": {"low": -3.0, "high": 3.0, "size": 20}},
+            "methods": [{"name": "nasm"},
+                        {"name": "rrr", "B": 50, "delta_glob": 0.6, "delta_loc": 0.6}],
+            "n": [30], "runs": 2, "seed": 2, "trace": True})
+        assert code == 5
+        assert "error[domain]: delta_glob + delta_loc must be below 1" in capsys.readouterr().err
+        assert runs == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
     def test_unknown_descriptor_key_is_refused(self, tmp_path, capsys):
         code, prefix = self.run_descriptor(tmp_path, {
             "generator": {"family": "constant", "grid": {"low": 0.0, "high": 1.0, "size": 5}},
@@ -804,11 +819,29 @@ class TestRunMajorEval:
         assert sim.with_suffix(".csv").read_text() == ev.with_suffix(".csv").read_text()
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def modules_after_cli_import() -> set:
+    """The modules a fresh interpreter holds after ``import riskbands.cli``."""
     src = str(Path(riskbands.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, riskbands.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = "import json, sys, riskbands.cli; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return set(json.loads(out.stdout))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert sorted(m for m in modules_after_cli_import() if m.split('.')[0] == 'scipy') == []
+
+
+def test_cli_import_leaves_rare_path_modules_unloaded():
+    # secrets (hashlib) and concurrent.futures (logging) serve only a defaulted
+    # seed and a threaded run, so a plain CLI call does not import them
+    assert {"secrets", "concurrent.futures"} & modules_after_cli_import() == set()
+
+
+def test_default_seed_is_a_63_bit_draw():
+    from riskbands.cli import _resolve_seed
+    seeds = [_resolve_seed(None).seed for _ in range(200)]
+    assert all(0 <= s < 2**63 for s in seeds)
+    assert len(set(seeds)) == len(seeds)
+    assert max(seeds) >= 2**61  # the top bits are drawn too

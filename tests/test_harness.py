@@ -577,6 +577,17 @@ class TestMethodSpec:
             json.dumps(spec.config_echo())
         assert MethodSpec("rr", B=np.int64(100)).config_echo()["B"] == 100
 
+    @pytest.mark.parametrize("params, message", [
+        ({"delta_glob": 2.0, "r": 5.0}, r"risk tolerance r must lie in \[0, 1\]"),
+        ({"delta_glob": 2.0}, r"delta_glob and delta_loc must lie in \(0, 1\)"),
+        ({"delta_loc": 0.0}, r"delta_glob and delta_loc must lie in \(0, 1\)"),
+        ({"delta_glob": 0.6, "delta_loc": 0.6}, "delta_glob \\+ delta_loc must be below 1"),
+        ({"r": -0.1}, r"risk tolerance r must lie in \[0, 1\]"),
+    ])
+    def test_rrr_parameters_are_checked_on_construction(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            MethodSpec("rrr", **params)
+
     @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, -0.1, float("nan")])
     def test_delta_outside_the_unit_interval_is_refused(self, delta):
         for name in METHOD_NAMES:
