@@ -478,17 +478,19 @@ def suggest_b(
     An ECDF confidence band of half-width sqrt(log(2/eta)/(2B)) around the
     replicate distribution brackets the target quantile between two order
     statistics; B doubles until that bracket is narrower than
-    ``rel_tol * q_boot`` or the hard cap 2**20 is reached; an ``initial_b``
-    above the cap is refused before any draw. Each doubling draws only the
-    new replicates, and runs the matrix's own deviation kernel. Lattice-valued
-    suprema can keep the bracket wide at any B: when no supremum lies
-    strictly between its ends, the search stops with ``lattice`` set. A zero
-    bootstrap quantile (degenerate matrix) short-circuits with a zero-width
-    flag.
+    ``rel_tol * q_boot`` or the hard cap 2**20 is reached; a ``delta``
+    outside (0, 1) or an ``initial_b`` above the cap is refused before any
+    draw. Each doubling draws only the new replicates, and runs the matrix's
+    own deviation kernel. Lattice-valued suprema can keep the bracket wide at
+    any B: when no supremum lies strictly between its ends, the search stops
+    with ``lattice`` set. A zero bootstrap quantile (degenerate matrix)
+    short-circuits with a zero-width flag.
     """
     seed = _seed_record(seed)
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
     b = _replicate_count(initial_b)
     if not 100 <= b <= _B_CAP:
         raise ValueError(f"initial_b must lie in [100, {_B_CAP}]")

@@ -270,7 +270,7 @@ def wsr_upper(losses: np.ndarray, delta: float) -> float:
     losses = np.asarray(losses, dtype=float)
     if losses.ndim != 1 or losses.size < 1:
         raise ValueError("losses must be a nonempty 1-D sequence")
-    if losses.min() < 0.0 or losses.max() > 1.0:
+    if not (losses.min() >= 0.0 and losses.max() <= 1.0):  # false on NaN as well
         raise ValueError("losses must lie in [0, 1]")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")

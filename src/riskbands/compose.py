@@ -2,21 +2,30 @@
 
 Given per-component bands and a map psi from component risks to a combined
 risk, the combined band at each grid point is the range of psi over the box
-of component intervals, with error budgets added across components. With
-per-coordinate monotonicity flags the box extremes sit at two corners; for
-general psi a bracketing grid scan over the box is used instead.
+of component intervals, with error budgets added across components. psi
+comes with one monotonicity flag per coordinate, so the box extremes sit at
+two corners and two psi evaluations give them exactly.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .bounds import ConfidenceBand
 from .empirical import IndexSet
+
+
+def _check_components(comps: Sequence[ConfidenceBand]) -> None:
+    """Refuse no band, grids that differ, and budgets summing to 1 or more."""
+    if not comps:
+        raise ValueError("need at least one component band")
+    if any(b.grid != comps[0].grid for b in comps[1:]):
+        raise ValueError("component bands must share a grid")
+    if sum(b.delta for b in comps) >= 1.0:
+        raise ValueError("component error budgets must sum below 1")
 
 
 def _composed(comps: Sequence[ConfidenceBand], lower: np.ndarray | None, upper: np.ndarray,
@@ -52,55 +61,29 @@ def _box_sides(band: ConfidenceBand, m: int) -> tuple[np.ndarray, np.ndarray]:
 def combine(
     bands: Sequence[ConfidenceBand],
     psi: Callable[..., np.ndarray],
-    psi_monotonicity: Sequence[str] | None = None,
-    scan_resolution: int = 33,
+    psi_monotonicity: Sequence[str],
 ) -> ConfidenceBand:
     """Band for psi(risk_1, ..., risk_k) from per-component bands.
 
-    ``psi`` must accept k equal-length numpy arrays and return one. With
-    ``psi_monotonicity`` ('increasing' / 'decreasing' per coordinate) the box
-    extremes are corner evaluations; otherwise a dense scan with
-    ``scan_resolution`` points per axis brackets them, and the resolution is
-    recorded in the band info. Outputs outside [0, 1] are clamped with a note.
-    Validity is the intersection of the component validity sets; the combined
-    budget is the exact sum of the component budgets. Refused: no band, grids
+    ``psi`` must accept k equal-length numpy arrays, return one, and be
+    monotone in each coordinate as the required ``psi_monotonicity`` says
+    (one 'increasing' / 'decreasing' flag per component): the box extremes
+    are then the two corner evaluations. Outputs outside [0, 1] are clamped
+    with a note. Validity is the intersection of the component validity sets;
+    the combined budget is the exact sum of theirs. Refused: no band, grids
     that differ, and budgets summing to 1 or more.
     """
     comps = tuple(bands)
-    if not comps:
-        raise ValueError("need at least one component band")
-    grid = comps[0].grid
-    if any(b.grid != grid for b in comps[1:]):
-        raise ValueError("component bands must share a grid")
-    if sum(b.delta for b in comps) >= 1.0:
-        raise ValueError("component error budgets must sum below 1")
-    k = len(comps)
-    m = len(grid)
-
+    _check_components(comps)
+    flags = tuple(psi_monotonicity)
+    if len(flags) != len(comps) or any(f not in ("increasing", "decreasing") for f in flags):
+        raise ValueError("need one 'increasing'/'decreasing' flag per component")
+    m = len(comps[0].grid)
     lows, highs = zip(*(_box_sides(b, m) for b in comps))
-
-    if psi_monotonicity is not None:
-        flags = tuple(psi_monotonicity)
-        if len(flags) != k or any(f not in ("increasing", "decreasing") for f in flags):
-            raise ValueError("need one 'increasing'/'decreasing' flag per component")
-        up_args = [h if f == "increasing" else l for f, l, h in zip(flags, lows, highs)]
-        lo_args = [l if f == "increasing" else h for f, l, h in zip(flags, lows, highs)]
-        upper = np.asarray(psi(*up_args), dtype=float)
-        lower = np.asarray(psi(*lo_args), dtype=float)
-        method_info = {"psi_monotonicity": list(flags)}
-    else:
-        s = int(scan_resolution)
-        if s < 2:
-            raise ValueError("scan_resolution must be at least 2")
-        fracs = np.linspace(0.0, 1.0, s)
-        axes = [lo + fracs[:, None] * (hi - lo) for lo, hi in zip(lows, highs)]
-        upper = np.full(m, -np.inf)
-        lower = np.full(m, np.inf)
-        for combo in product(range(s), repeat=k):
-            vals = np.asarray(psi(*(axes[i][c] for i, c in enumerate(combo))), dtype=float)
-            np.maximum(upper, vals, out=upper)
-            np.minimum(lower, vals, out=lower)
-        method_info = {"scan_resolution": s}
+    up_args = [h if f == "increasing" else l for f, l, h in zip(flags, lows, highs)]
+    lo_args = [l if f == "increasing" else h for f, l, h in zip(flags, lows, highs)]
+    upper = np.asarray(psi(*up_args), dtype=float)
+    lower = np.asarray(psi(*lo_args), dtype=float)
 
     notes: tuple[str, ...] = ()
     if upper.shape != (m,) or lower.shape != (m,):
@@ -109,7 +92,7 @@ def combine(
         notes = ("psi-output-clamped",)
 
     info = {"component_deltas": [b.delta for b in comps],
-            "component_methods": [b.method for b in comps], **method_info}
+            "component_methods": [b.method for b in comps], "psi_monotonicity": list(flags)}
     return _composed(comps, lower, upper, notes, info)
 
 
@@ -123,10 +106,11 @@ def selective_ratio_upper(
     Divides the numerator's upper band by the denominator's lower band,
     flooring the denominator at ``floor`` (default 1 / (2n)) so a vanishing
     denominator degrades to the trivial bound 1 instead of blowing up.
+    Refused: what ``combine`` refuses, a missing side, and a floor outside
+    (0, 1], since a floor above 1, the most a risk can be, understates it.
     """
     num, den = numerator_band, denominator_band
-    if num.grid != den.grid:
-        raise ValueError("bands must share a grid")
+    _check_components((num, den))
     if num.upper is None:
         raise ValueError("numerator band must carry an upper side")
     if den.lower is None:
@@ -135,7 +119,7 @@ def selective_ratio_upper(
         if num.sample_size < 1:
             raise ValueError("floor must be given when the sample size is unknown")
         floor = 1.0 / (2.0 * num.sample_size)
-    if not floor > 0.0:
-        raise ValueError("floor must be positive")
+    if not 0.0 < floor <= 1.0:
+        raise ValueError("floor must lie in (0, 1]")
     return _composed((num, den), None, num.upper / np.maximum(den.lower, floor), (),
                      {"ratio_floor": floor, "component_deltas": [num.delta, den.delta]})

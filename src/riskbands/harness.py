@@ -83,6 +83,8 @@ class GeneratorSpec:
                 raise ValueError(
                     f"rho must lie in [{lo}, 1] to keep the batch covariance PSD"
                 )
+        if not math.isfinite(self.tradeoff_shift):
+            raise ValueError("tradeoff_shift must be finite")
         if self.family == CONSTANT and not 0.0 <= self.value <= 1.0:
             raise ValueError("constant value must lie in [0, 1]")
         if self.family == CUSTOM_FAMILY and self.draw_fn is None:
@@ -355,18 +357,21 @@ def run_metrics(
     events come from one betting test per grid point, and its conservatism
     from the betting bound at the selected column alone. ``anywhere``: the
     truth exceeds the band somewhere on validity. ``selected``: the same
-    within the empirical sublevel set at ``r``; an empty set counts as
-    covered. ``conservatism``: band minus truth at the threshold ``scheme``
-    selects within that set; runs with no selection, or one outside
-    validity, are excluded, and a cell whose every run is excluded reports
-    a NaN estimate and standard error with a note in ``extra``. Returns
-    ``reports[i][j]`` for ``methods[i]`` and ``metrics[j]``; ``traces``, when
-    given, is extended with the per-run records in the same nesting.
+    within the empirical sublevel set at ``r``, which must lie in [0, 1]; an
+    empty set counts as covered. ``conservatism``: band minus truth at the
+    threshold ``scheme`` selects within that set; runs with no selection, or
+    one outside validity, are excluded, and a cell whose every run is
+    excluded reports a NaN estimate and standard error with a note in
+    ``extra``. Returns ``reports[i][j]`` for ``methods[i]`` and
+    ``metrics[j]``; ``traces``, when given, is extended with the per-run
+    records in the same nesting.
     """
     seed = _seed_record(seed)
     runs = int(runs)
     if runs < 1:
         raise ValueError(f"need runs >= 1, got {runs}")
+    if not 0.0 <= r <= 1.0:
+        raise ValueError("risk tolerance r must lie in [0, 1]")
     for metric in metrics:
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}")

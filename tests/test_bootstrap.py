@@ -349,6 +349,17 @@ class TestSuggestB:
         with pytest.raises(ValueError, match="initial_b"):
             suggest_b(random_matrix(4), 0.1, SeedRecord(1), initial_b=2**20 + 1)
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, float("nan")])
+    def test_delta_outside_the_unit_interval_draws_nothing(self, monkeypatch, delta):
+        import riskbands.bootstrap as bootstrap_mod
+
+        def refuse(*args):
+            raise AssertionError("no replicate may be drawn")
+
+        monkeypatch.setattr(bootstrap_mod, "_count_rows", refuse)
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
+            suggest_b(random_matrix(4), delta, SeedRecord(1))
+
     def test_terminates_brackets_and_is_stable(self):
         # continuous-valued losses keep the supremum distribution smooth, so
         # the bracket criterion is reachable at moderate B

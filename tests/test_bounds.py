@@ -234,6 +234,9 @@ class TestWsrUpper:
             wsr_upper(np.array([1.2]), 0.1)
         with pytest.raises(ValueError):
             wsr_upper(np.array([0.5]), 0.0)
+        # a NaN minimum or maximum fails both range comparisons
+        with pytest.raises(ValueError, match=r"losses must lie in \[0, 1\]"):
+            wsr_upper(np.array([np.nan, 0.5, 0.2]), 0.1)
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=40, deadline=None)

@@ -465,6 +465,33 @@ class TestEvalCommand:
         assert runs == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
 
+    @pytest.mark.parametrize("r", [float("nan"), -0.5])
+    def test_r_outside_the_unit_interval_is_refused_before_any_run(self, tmp_path, capsys,
+                                                                   monkeypatch, r):
+        def refuse(*args):
+            raise AssertionError("no run may start")
+
+        monkeypatch.setattr(GeneratorSpec, "_draw", refuse)
+        code, prefix = self.run_descriptor(tmp_path, {
+            "generator": {"family": "equicorrelated",
+                          "grid": {"low": -3.0, "high": 3.0, "size": 20}},
+            "methods": [{"name": "nasm"}], "metrics": ["selected"], "r": r,
+            "n": [30], "runs": 2, "seed": 2})
+        assert code == 5
+        assert capsys.readouterr().err == "error[domain]: risk tolerance r must lie in [0, 1]\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
+    @pytest.mark.parametrize("shift", [float("nan"), float("inf")])
+    def test_non_finite_tradeoff_shift_is_refused(self, tmp_path, capsys, shift):
+        code, prefix = self.run_descriptor(tmp_path, {
+            "generator": {"family": "equicorrelated", "tradeoff_shift": shift,
+                          "grid": {"low": -3.0, "high": 3.0, "size": 20}},
+            "methods": [{"name": "nasm"}], "metrics": ["conservatism"],
+            "n": [30], "runs": 2, "seed": 2})
+        assert code == 5
+        assert capsys.readouterr().err == "error[domain]: tradeoff_shift must be finite\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json"]
+
     def test_unknown_descriptor_key_is_refused(self, tmp_path, capsys):
         code, prefix = self.run_descriptor(tmp_path, {
             "generator": {"family": "constant", "grid": {"low": 0.0, "high": 1.0, "size": 5}},

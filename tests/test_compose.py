@@ -59,30 +59,6 @@ class TestCombine:
                       psi_monotonicity=["increasing", "increasing"])
         assert out.validity.indices.tolist() == [1, 2]
 
-    def test_scan_brackets_monotone_psi(self):
-        rng = np.random.default_rng(0)
-        lo1, hi1 = np.sort(rng.random((2, 5)), axis=0)
-        lo2, hi2 = np.sort(rng.random((2, 5)), axis=0)
-        b1, b2 = band(lo1, hi1), band(lo2, hi2)
-        psi = lambda a, b: np.clip(0.6 * a + 0.4 * b, 0.0, 1.0)
-        corner = combine([b1, b2], psi, psi_monotonicity=["increasing", "increasing"])
-        scanned = combine([b1, b2], psi, scan_resolution=33)
-        assert np.allclose(corner.upper, scanned.upper, atol=1e-12)
-        assert np.allclose(corner.lower, scanned.lower, atol=1e-12)
-        assert scanned.info["scan_resolution"] == 33
-
-    def test_scan_brackets_nonmonotone_psi(self):
-        # psi has an interior maximum; the scan must bracket sampled values
-        b1 = band([0.0] * 4, [1.0] * 4)
-        psi = lambda a: 4.0 * a * (1.0 - a)
-        out = combine([b1], psi, scan_resolution=101)
-        rng = np.random.default_rng(1)
-        samples = rng.random((2000, 4))
-        vals = psi(samples)
-        tol = 1.0 / 100  # scan resolution spacing
-        assert np.all(vals <= out.upper[None, :] + tol)
-        assert np.all(vals >= out.lower[None, :] - tol)
-
     def test_containment_random_boxes(self):
         rng = np.random.default_rng(5)
         lo1, hi1 = np.sort(rng.random((2, 6)), axis=0)
@@ -112,7 +88,26 @@ class TestCombine:
 
     def test_no_band_rejected(self):
         with pytest.raises(ValueError, match="need at least one component band"):
-            combine([], lambda: np.zeros(2))
+            combine([], lambda: np.zeros(2), [])
+
+    def test_flags_are_required(self):
+        b1 = band([0.0] * 4, [0.99] * 4)
+        with pytest.raises(TypeError, match="psi_monotonicity"):
+            combine([b1], lambda a: 4.0 * a * (1.0 - a))
+
+    @pytest.mark.parametrize("flags", [[], ["increasing"], ["increasing", "up"]])
+    def test_flags_need_one_word_per_component(self, flags):
+        bands = [band([0.0, 0.0], [0.5, 0.5]), band([0.0, 0.0], [0.5, 0.5])]
+        with pytest.raises(ValueError, match="flag per component"):
+            combine(bands, lambda a, b: a + b, flags)
+
+    def test_components_are_checked_before_psi(self):
+        def psi(*parts):
+            raise AssertionError("psi may not be evaluated")
+
+        bands = [band([0.0, 0.0], [1.0, 1.0], delta=0.5)] * 2
+        with pytest.raises(ValueError, match="component error budgets must sum below 1"):
+            combine(bands, psi, ["increasing"] * 2)
 
     @pytest.mark.parametrize("deltas", [(0.5, 0.5), (0.6, 0.3, 0.2)])
     def test_budgets_summing_to_one_rejected(self, deltas):
@@ -152,8 +147,19 @@ class TestSelectiveRatioUpper:
     def test_floor_domain(self):
         num = band(None, [0.3, 0.4])
         den = band([0.5, 0.5], None)
-        with pytest.raises(ValueError):
-            selective_ratio_upper(num, den, floor=0.0)
+        for floor in (0.0, float("inf"), 1.5):
+            with pytest.raises(ValueError, match=r"floor must lie in \(0, 1\]"):
+                selective_ratio_upper(num, den, floor=floor)
+        assert np.array_equal(selective_ratio_upper(num, den, floor=1.0).upper, [0.3, 0.4])
+
+    def test_components_are_checked_as_for_combine(self):
+        num = band(None, [0.3, 0.4], delta=0.5)
+        den = band([0.5, 0.5], None, delta=0.5)
+        with pytest.raises(ValueError, match="component error budgets must sum below 1"):
+            selective_ratio_upper(num, den, floor=0.1)
+        other = band([0.5, 0.5], None, grid=ParameterGrid.linspace(0.0, 2.0, 2))
+        with pytest.raises(ValueError, match="component bands must share a grid"):
+            selective_ratio_upper(band(None, [0.3, 0.4]), other, floor=0.1)
 
     def test_missing_sides_rejected(self):
         upper_only = band(None, [0.3, 0.4])

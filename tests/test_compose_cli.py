@@ -141,6 +141,16 @@ class TestComposeCommand:
             else "need one finite, nonnegative weight per input band\n")
         assert not out.exists() and not (tmp_path / "sum.csv.json").exists()
 
+    def test_floor_above_one_is_refused(self, tmp_path, capsys):
+        num, _ = make_band(tmp_path, "num.csv", None, [0.05, 0.2], delta=0.05)
+        den, _ = make_band(tmp_path, "den.csv", [0.25, 0.5], None, delta=0.05)
+        out = tmp_path / "ratio.csv"
+        code = main(["compose", "--inputs", str(num), str(den), "--psi", "ratio",
+                     "--floor", "inf", "--output", str(out)])
+        assert code == 5
+        assert capsys.readouterr().err == "error[domain]: floor must lie in (0, 1]\n"
+        assert not out.exists() and not (tmp_path / "ratio.csv.json").exists()
+
     def test_ratio_needs_two_bands(self, tmp_path):
         b1, _ = make_band(tmp_path, "b1.csv", [0.1, 0.1], [0.2, 0.2])
         out = tmp_path / "bad.csv"

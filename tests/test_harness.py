@@ -76,6 +76,12 @@ class TestGenerator:
         with pytest.raises(ValueError):
             spec_for(1.1)
 
+    @pytest.mark.parametrize("shift", [float("nan"), float("inf"), -float("inf")])
+    def test_tradeoff_shift_must_be_finite(self, shift):
+        for family in (EQUICORRELATED, CONSTANT):
+            with pytest.raises(ValueError, match="tradeoff_shift must be finite"):
+                GeneratorSpec(family, GRID, rho=0.2, tradeoff_shift=shift)
+
     def test_losses_live_on_fifths(self):
         matrix = equicorrelated_matrix(50, 0)
         assert matrix.orientation == "nondecreasing"
@@ -380,6 +386,15 @@ class TestRunMetrics:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):
             run_metrics(self.METHODS, spec_for(0.2), 20, 2, 1, ["coverage"])
+
+    @pytest.mark.parametrize("r", [float("nan"), -0.5, 1.5])
+    def test_r_outside_the_unit_interval_is_refused_before_any_run(self, monkeypatch, r):
+        def refuse(*args):
+            raise AssertionError("no run may start")
+
+        monkeypatch.setattr(GeneratorSpec, "_draw", refuse)
+        with pytest.raises(ValueError, match=r"risk tolerance r must lie in \[0, 1\]"):
+            run_metrics(self.METHODS, spec_for(0.2), 20, 2, 1, ["anywhere", "selected"], r=r)
 
     @pytest.mark.parametrize("metrics", [["anywhere"], ["selected"]])
     def test_unknown_scheme_rejected_without_conservatism(self, metrics):
