@@ -58,7 +58,7 @@ from .losses import (
     threshold_losses,
     validate,
 )
-from .rrr import RRRConfig, RRRResult, rrr_band, rrr_band_population
+from .rrr import RRRConfig, RRRResult, rrr_band
 from .selection import SelectionResult, select_elbow, select_even_tradeoff
 
 __version__ = "0.1.0"
@@ -96,7 +96,6 @@ __all__ = [
     "resample_counts",
     "rr_band",
     "rrr_band",
-    "rrr_band_population",
     "run_metrics",
     "select_elbow",
     "select_even_tradeoff",

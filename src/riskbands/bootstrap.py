@@ -461,6 +461,8 @@ class SuggestBResult:
 # Suprema closer than this are one value: GEMM rounding moves a lattice atom
 # by about 1.5e-13.
 _ATOM_DUST = 1e-12
+# Confidence of the ECDF band that brackets suggest_b's target quantile.
+_BRACKET_CONFIDENCE = 0.95
 
 
 def suggest_b(
@@ -470,33 +472,32 @@ def suggest_b(
     initial_b: int = 1000,
     sign: str = "minus",
     rel_tol: float = 0.01,
-    bracket_confidence: float = 0.95,
     workers: int = 1,
 ) -> SuggestBResult:
     """Grow B until the quantile is pinned down to ``rel_tol`` relative width.
 
-    An ECDF confidence band of half-width sqrt(log(2/eta)/(2B)) around the
-    replicate distribution brackets the target quantile between two order
+    A 95% ECDF confidence band of half-width sqrt(log(2/0.05)/(2B)) around
+    the replicate distribution brackets the target quantile between two order
     statistics; B doubles until that bracket is narrower than
-    ``rel_tol * q_boot`` or the hard cap 2**20 is reached; a ``delta``
-    outside (0, 1) or an ``initial_b`` above the cap is refused before any
-    draw. Each doubling draws only the new replicates, and runs the matrix's
-    own deviation kernel. Lattice-valued suprema can keep the bracket wide at
-    any B: when no supremum lies strictly between its ends, the search stops
-    with ``lattice`` set. A zero bootstrap quantile (degenerate matrix)
-    short-circuits with a zero-width flag.
+    ``rel_tol * q_boot`` or the hard cap 2**20 is reached; a ``delta`` or
+    ``rel_tol`` outside (0, 1) or an ``initial_b`` above the cap is refused
+    before any draw. Each doubling draws only the new replicates, and runs
+    the matrix's own deviation kernel. Lattice-valued suprema can keep the
+    bracket wide at any B: when no supremum lies strictly between its ends,
+    the search stops with ``lattice`` set. A zero bootstrap quantile
+    (degenerate matrix) short-circuits with a zero-width flag.
     """
     seed = _seed_record(seed)
     if sign not in SIGNS:
         raise ValueError(f"sign must be one of {SIGNS}")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError("rel_tol must lie in (0, 1)")
     b = _replicate_count(initial_b)
     if not 100 <= b <= _B_CAP:
         raise ValueError(f"initial_b must lie in [100, {_B_CAP}]")
-    if not 0.0 < bracket_confidence < 1.0:
-        raise ValueError("bracket_confidence must lie in (0, 1)")
-    eps_num = math.log(2.0 / (1.0 - bracket_confidence))
+    eps_num = math.log(2.0 / (1.0 - _BRACKET_CONFIDENCE))
     history: list[tuple[int, float, float]] = []
     kernel, carry = _kernel(matrix), _Carry()
     while True:

@@ -66,8 +66,8 @@ class IndexSet:
         if self.indices.size and self.indices[-1] >= len(grid):
             raise ValueError("index set refers to points outside the grid")
 
-    def intersect(self, other: "IndexSet", provenance: str = CUSTOM) -> "IndexSet":
-        return IndexSet(np.intersect1d(self.indices, other.indices), provenance)
+    def intersect(self, other: "IndexSet") -> "IndexSet":
+        return IndexSet(np.intersect1d(self.indices, other.indices))
 
     def issubset(self, other: "IndexSet") -> bool:
         return bool(np.isin(self.indices, other.indices).all())

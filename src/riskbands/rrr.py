@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .bootstrap import (SeedRecord, _clamped_note, _replicate_count, _seed_record,
                         _sup_quantile)
 from .bounds import ConfidenceBand, _fixed_width_band
-from .empirical import IndexSet, RiskCurve, empirical_risk, sublevel_set
+from .empirical import IndexSet, empirical_risk, sublevel_set
 from .losses import UNCONSTRAINED, LossMatrix, validate
 
 
@@ -65,10 +65,14 @@ class RRRResult:
     sublevel: IndexSet
     adjusted: IndexSet
     r: float
-    r_adjusted: float | None = None
 
 
-def _global_pass(matrix: LossMatrix, config: RRRConfig, workers: int):
+def rrr_band(matrix: LossMatrix, config: RRRConfig, workers: int = 1) -> RRRResult:
+    """Upper band valid simultaneously over the empirical sublevel set at r.
+
+    An empty sublevel set yields a band with empty validity and a warning
+    note rather than an error (the condition is data dependent).
+    """
     report = validate(matrix)
     if matrix.orientation == UNCONSTRAINED:
         raise ValueError("restricted risk resampling needs a monotone orientation; "
@@ -76,37 +80,21 @@ def _global_pass(matrix: LossMatrix, config: RRRConfig, workers: int):
     if not report.passed:
         raise ValueError(f"loss matrix fails validation: {report.message}")
     curve = empirical_risk(matrix)
-    return curve, _sup_quantile(matrix, None, "two-sided", config.delta_glob, config.B,
-                                config.seed, workers)
-
-
-def _local_pass(
-    matrix: LossMatrix,
-    config: RRRConfig,
-    curve: RiskCurve,
-    q_glob: float,
-    level: float,
-    r_adjusted: float | None,
-    workers: int,
-) -> RRRResult:
+    q_glob = _sup_quantile(matrix, None, "two-sided", config.delta_glob, config.B,
+                           config.seed, workers)
     sqrt_n = math.sqrt(matrix.n)
-    sub_set = sublevel_set(curve, level)
-    adjusted = sublevel_set(curve, level + 2.0 * q_glob / sqrt_n)
-    # paired replicates: the global pass's deviations, restricted to the adjusted set
+    sub_set = sublevel_set(curve, config.r)
+    adjusted = sublevel_set(curve, config.r + 2.0 * q_glob / sqrt_n)
+    # paired replicates: the global quantile's deviations, restricted to the adjusted set
     q_loc = _sup_quantile(matrix, adjusted, "minus", config.delta_loc, config.B, config.seed,
                           workers)
-    notes: tuple[str, ...] = ()
-    if sub_set.is_empty:
-        notes = ("empty-validity",)
-    if r_adjusted is not None and r_adjusted < 0.0:
-        notes = notes + ("negative-adjusted-level",)
+    notes = ("empty-validity",) if sub_set.is_empty else ()
     band = _fixed_width_band(
         curve, q_loc / sqrt_n, "upper", config.delta, "rrr", sub_set,
         notes + _clamped_note(config.B, config.delta_glob, config.delta_loc),
         {
             "B": config.B,
             "r": config.r,
-            "r_adjusted": r_adjusted,
             "delta_glob": config.delta_glob,
             "delta_loc": config.delta_loc,
             "q_glob": q_glob,
@@ -116,27 +104,4 @@ def _local_pass(
             "adjusted_indices": adjusted.indices.tolist(),
         },
     )
-    return RRRResult(band, q_glob, q_loc, sub_set, adjusted, config.r, r_adjusted)
-
-
-def rrr_band(matrix: LossMatrix, config: RRRConfig, workers: int = 1) -> RRRResult:
-    """Upper band valid simultaneously over the empirical sublevel set at r.
-
-    An empty sublevel set yields a band with empty validity and a warning
-    note rather than an error (the condition is data dependent).
-    """
-    curve, q_glob = _global_pass(matrix, config, workers)
-    return _local_pass(matrix, config, curve, q_glob, config.r, None, workers)
-
-
-def rrr_band_population(matrix: LossMatrix, config: RRRConfig, workers: int = 1) -> RRRResult:
-    """Variant targeting the population sublevel set at r.
-
-    Runs the identical pipeline at the deflated level r - q_glob / sqrt(n),
-    so that the resulting empirical sublevel set is contained in the
-    population sublevel set at r with high probability. A negative deflated
-    level yields an empty validity set with a warning note.
-    """
-    curve, q_glob = _global_pass(matrix, config, workers)
-    r_adj = config.r - q_glob / math.sqrt(matrix.n)
-    return _local_pass(matrix, config, curve, q_glob, r_adj, r_adj, workers)
+    return RRRResult(band, q_glob, q_loc, sub_set, adjusted, config.r)

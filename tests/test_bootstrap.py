@@ -349,8 +349,9 @@ class TestSuggestB:
         with pytest.raises(ValueError, match="initial_b"):
             suggest_b(random_matrix(4), 0.1, SeedRecord(1), initial_b=2**20 + 1)
 
-    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, float("nan")])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1.5, float("nan"), -1.0])
     def test_delta_outside_the_unit_interval_draws_nothing(self, monkeypatch, delta):
+        # rel_tol has the same range and is refused as early
         import riskbands.bootstrap as bootstrap_mod
 
         def refuse(*args):
@@ -359,6 +360,8 @@ class TestSuggestB:
         monkeypatch.setattr(bootstrap_mod, "_count_rows", refuse)
         with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\)"):
             suggest_b(random_matrix(4), delta, SeedRecord(1))
+        with pytest.raises(ValueError, match=r"rel_tol must lie in \(0, 1\)"):
+            suggest_b(random_matrix(4), 0.1, SeedRecord(1), rel_tol=delta)
 
     def test_terminates_brackets_and_is_stable(self):
         # continuous-valued losses keep the supremum distribution smooth, so

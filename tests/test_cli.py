@@ -80,7 +80,12 @@ class TestBandCommand:
                      "--r", "0.5", "--B", "128", "--seed", "4"])
         assert code == 0
         meta = json.loads((tmp_path / "band.csv.json").read_text())
-        assert "q_glob" in meta and "q_loc" in meta
+        # the whole key set, so an added or dropped key shows here
+        assert sorted(meta) == [
+            "B", "adjusted_indices", "command", "delta", "delta_glob", "delta_loc", "input",
+            "method", "notes", "orientation", "q_glob", "q_loc", "r", "sample_size", "seed",
+            "side", "sides", "simultaneous", "sublevel_indices", "validity_indices",
+            "validity_provenance", "validity_size", "width"]
         assert meta["r"] == 0.5
         assert isinstance(meta["sublevel_indices"], list)
         assert isinstance(meta["adjusted_indices"], list)

@@ -18,10 +18,14 @@ def test_every_public_name_resolves():
 
 
 def test_every_public_name_is_in_the_readme_api_list():
+    # both ways: each public name has a line, and each line names a public name
     text = README.read_text()
     section = text.split("## Library API", 1)[1].split("\n## ", 1)[0]
     listed = set(re.findall(r"`(\w+)`", section))
     assert sorted(set(riskbands.__all__) - listed) == []
+    entries = re.findall(r"^- `(\w+)`:", section, flags=re.MULTILINE)
+    assert len(entries) == len(set(entries))
+    assert sorted(set(entries) - set(riskbands.__all__)) == []
 
 
 def test_every_descriptor_key_is_in_the_readme_descriptor_section():

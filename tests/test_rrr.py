@@ -9,7 +9,6 @@ from riskbands import (
     conservative_quantile,
     empirical_risk,
     rrr_band,
-    rrr_band_population,
     sublevel_set,
     sup_distribution,
 )
@@ -70,17 +69,15 @@ class TestRRRBand:
             result = rrr_band(m, config(seed, r=0.5, B=128))
             assert result.sublevel.issubset(result.adjusted)
 
-    @pytest.mark.parametrize("fn", [rrr_band, rrr_band_population])
-    def test_every_set_is_a_sublevel_set_of_the_curve(self, fn):
-        # validity and adjusted set both come from sublevel_set, at the level
-        # and at the level inflated by 2 q_glob / sqrt(n)
+    def test_every_set_is_a_sublevel_set_of_the_curve(self):
+        # validity and adjusted set both come from sublevel_set, at r and at
+        # r inflated by 2 q_glob / sqrt(n)
         for seed in range(4):
             m = nonincreasing_matrix(seed)
-            result = fn(m, config(seed, r=0.5, B=128))
+            result = rrr_band(m, config(seed, r=0.5, B=128))
             curve = empirical_risk(m)
-            level = result.r if result.r_adjusted is None else result.r_adjusted
-            inflated = sublevel_set(curve, level + 2.0 * result.q_glob / np.sqrt(m.n))
-            assert np.array_equal(result.sublevel.indices, sublevel_set(curve, level).indices)
+            inflated = sublevel_set(curve, result.r + 2.0 * result.q_glob / np.sqrt(m.n))
+            assert np.array_equal(result.sublevel.indices, sublevel_set(curve, result.r).indices)
             assert np.array_equal(result.adjusted.indices, inflated.indices)
             assert result.adjusted.provenance == result.sublevel.provenance == "sublevel"
 
@@ -110,7 +107,7 @@ class TestRRRBand:
         assert result.q_loc <= conservative_quantile(full.sorted_values, cfg.delta_loc) + 1e-15
 
     def test_global_matches_sup_distribution_bitwise(self):
-        # the internal global pass and the public two-sided distribution are
+        # rrr's global quantile and the public two-sided distribution are
         # the same computation replicate for replicate
         m = nonincreasing_matrix(6, n=40, m=8)
         cfg = config(13, r=0.5, B=192)
@@ -145,56 +142,3 @@ class TestRRRBand:
         b = rrr_band(nonincreasing_matrix(7, n=60, m=10), config(21, r=0.5, B=256), workers=4)
         assert np.array_equal(a.band.upper, b.band.upper)
         assert a.q_glob == b.q_glob and a.q_loc == b.q_loc
-
-
-class TestRRRPopulation:
-    def test_zero_global_quantile_matches_plain_variant(self):
-        m = LossMatrix(ParameterGrid.linspace(0.0, 1.0, 5),
-                       np.full((20, 5), 0.05), "nonincreasing")
-        cfg = config(r=0.1, B=128)
-        plain = rrr_band(m, cfg)
-        pop = rrr_band_population(m, cfg)
-        assert pop.q_glob == 0.0
-        assert pop.r_adjusted == pytest.approx(cfg.r)
-        assert np.array_equal(pop.band.upper, plain.band.upper)
-        assert np.array_equal(pop.sublevel.indices, plain.sublevel.indices)
-
-    def test_small_r_yields_empty_validity(self):
-        m = nonincreasing_matrix(8, n=30, m=8)
-        cfg = config(2, r=1e-6, B=128)
-        pop = rrr_band_population(m, cfg)
-        if pop.r_adjusted < 0:
-            assert pop.band.validity.is_empty
-            assert "negative-adjusted-level" in pop.band.notes
-
-    def test_records_both_levels(self):
-        m = nonincreasing_matrix(9, n=40, m=10)
-        cfg = config(3, r=0.5, B=128)
-        pop = rrr_band_population(m, cfg)
-        assert pop.r == 0.5
-        assert pop.r_adjusted == pytest.approx(0.5 - pop.q_glob / np.sqrt(m.n))
-        assert pop.r_adjusted <= pop.r
-
-    def test_deflated_sublevel_lands_inside_population_set(self):
-        # Monte Carlo inclusion check against the analytic truth: the
-        # deflated-level sublevel set should sit inside {t : truth <= r} in
-        # at least a 1 - delta_glob fraction of runs (up to MC error)
-        from scipy.special import ndtr
-        from riskbands import GeneratorSpec, ParameterGrid
-        from riskbands.harness import EQUICORRELATED
-
-        grid = ParameterGrid.linspace(-3.0, 3.0, 200)
-        spec = GeneratorSpec(EQUICORRELATED, grid, rho=0.2)
-        truth_set = np.flatnonzero(ndtr(grid.values) <= 0.1)
-        runs, included = 200, 0
-        seed = SeedRecord(31)
-        for run in range(runs):
-            rs = seed.child(run)
-            matrix, _ = spec.realize(500, rs.child(0))
-            cfg = RRRConfig(seed=rs.child(1), r=0.1, B=200)
-            pop = rrr_band_population(matrix, cfg)
-            included += bool(np.isin(pop.band.validity.indices, truth_set).all())
-        frac = included / runs
-        floor = 1.0 - 0.01  # delta_glob
-        se = np.sqrt(floor * (1 - floor) / runs)
-        assert frac >= floor - 3 * se
