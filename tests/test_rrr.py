@@ -142,3 +142,64 @@ class TestRRRBand:
         b = rrr_band(nonincreasing_matrix(7, n=60, m=10), config(21, r=0.5, B=256), workers=4)
         assert np.array_equal(a.band.upper, b.band.upper)
         assert a.q_glob == b.q_glob and a.q_loc == b.q_loc
+
+    def test_zero_global_quantile_leaves_the_adjusted_set_uninflated(self):
+        # constant losses have no bootstrap spread, so r + 2 q_glob / sqrt(n) is r
+        m = LossMatrix(ParameterGrid.linspace(0.0, 1.0, 5),
+                       np.array([[0.3, 0.2, 0.08, 0.05, 0.0]] * 20), "nonincreasing")
+        result = rrr_band(m, config(r=0.1, B=128))
+        assert result.q_glob == 0.0
+        assert result.sublevel.indices.tolist() == [2, 3, 4]
+        assert np.array_equal(result.adjusted.indices, result.sublevel.indices)
+
+    def test_r_below_the_curve_yields_empty_validity_but_a_band(self):
+        m = nonincreasing_matrix(8, n=30, m=8)
+        assert empirical_risk(m).values.min() > 1e-6
+        result = rrr_band(m, config(2, r=1e-6, B=128))
+        assert result.sublevel.is_empty and result.band.validity.is_empty
+        assert "empty-validity" in result.band.notes
+        # the adjusted set and the local quantile are still computed
+        assert result.sublevel.issubset(result.adjusted)
+        assert np.isfinite(result.band.upper).all()
+
+    def test_info_echoes_the_level_and_both_sets(self):
+        m = nonincreasing_matrix(9, n=40, m=10)
+        cfg = config(3, r=0.5, B=128)
+        result = rrr_band(m, cfg)
+        info = result.band.info
+        assert result.r == info["r"] == cfg.r
+        assert sorted(info) == ["B", "adjusted_indices", "delta_glob", "delta_loc", "q_glob",
+                                "q_loc", "r", "seed", "sublevel_indices"]
+        assert info["q_glob"] == result.q_glob and info["q_loc"] == result.q_loc
+        assert info["sublevel_indices"] == result.sublevel.indices.tolist()
+        assert info["adjusted_indices"] == result.adjusted.indices.tolist()
+        assert np.array_equal(result.band.validity.indices, result.sublevel.indices)
+
+
+class TestRRRCoverage:
+    def test_sets_bracket_the_population_sublevel_set(self):
+        # Monte Carlo check of step 2 against the analytic truth: when
+        # sup |empirical - truth| <= q_glob / sqrt(n), which should happen in
+        # at least a 1 - delta_glob fraction of runs (up to MC error), the
+        # adjusted set contains {t : truth <= r} and the empirical sublevel
+        # set sits inside {t : truth <= r + q_glob / sqrt(n)}
+        from riskbands import GeneratorSpec
+        from riskbands.harness import EQUICORRELATED
+
+        grid = ParameterGrid.linspace(-3.0, 3.0, 200)
+        spec = GeneratorSpec(EQUICORRELATED, grid, rho=0.2)
+        runs, held = 200, 0
+        seed = SeedRecord(31)
+        for run in range(runs):
+            rs = seed.child(run)
+            matrix, truth = spec.realize(500, rs.child(0))
+            cfg = RRRConfig(seed=rs.child(1), r=0.1, B=200)
+            result = rrr_band(matrix, cfg)
+            target = np.flatnonzero(truth <= cfg.r)
+            widened = np.flatnonzero(truth <= cfg.r + result.q_glob / np.sqrt(matrix.n))
+            held += bool(np.isin(target, result.adjusted.indices).all()
+                         and np.isin(result.sublevel.indices, widened).all())
+        frac = held / runs
+        floor = 1.0 - 0.01  # delta_glob
+        se = np.sqrt(floor * (1 - floor) / runs)
+        assert frac >= floor - 3 * se
