@@ -31,7 +31,18 @@ Layers, at n = m = B = 1000 on the equicorrelated generator unless noted:
 - the betting test: ``wsr_rejects`` at the truth and ``wsr_band``;
 - per-run seconds of a criterion-3-shaped ``run_metrics`` call (nasm, rr,
   pointwise; anywhere) at ``workers`` 1 and 2, and of an ``mc-paper``-shaped
-  one (nasm, rr, rrr, pointwise; anywhere, selected, conservatism).
+  one (nasm, rr, rrr, pointwise; anywhere, selected, conservatism);
+- the first read of ``values`` on a freshly realized matrix, at n = 1000
+  and n = 20 000 (the realize itself untimed);
+- ``write_loss_matrix`` and ``read_loss_matrix`` of a realized n = m = 1000
+  matrix (a paper-scale CSV of about 4 MB);
+- ``import riskbands.cli`` in a fresh interpreter, timed inside it, so the
+  interpreter's own start is left out.
+
+One memory figure: the ``tracemalloc`` peak, in MB above the memory held
+before the call, of one ``mc-paper``-shaped ``run_metrics`` call of one run.
+It counts numpy's arrays and no allocator layout, so it tells a change in
+the arrays a run holds from a step of the process's peak RSS.
 
 One library ``suggest_b`` with default settings on the realized (stepped)
 matrix, once per process: its wall time, B and verdict. Then one
@@ -53,6 +64,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,6 +96,7 @@ def measure(reps: int) -> dict:
                            run_metrics, suggest_b, sup_distribution, validate, wsr_band,
                            wsr_rejects)
     from riskbands import bootstrap
+    from riskbands.fileio import read_loss_matrix, write_loss_matrix
     from riskbands.harness import EQUICORRELATED
 
     B = 1000
@@ -170,13 +183,40 @@ def measure(reps: int) -> dict:
         every, spec, 1000, runs, SeedRecord(8), ["anywhere", "selected", "conservatism"]),
         reps)]
 
+    for n in (1000, 20_000):
+        out[f"first_values_n{n}"] = _timed(lambda matrix: matrix.values, reps, fresh(n))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = Path(tmp) / "losses.csv"
+        out["write_loss_matrix"] = _timed(lambda: write_loss_matrix(shared, csv), reps)
+        out["read_loss_matrix"] = _timed(lambda: read_loss_matrix(csv), reps)
+
+    clock = ("import time; t0 = time.perf_counter(); import riskbands.cli; "
+             "print(time.perf_counter() - t0)")
+    out["import_cli_fresh"] = [
+        float(subprocess.run([sys.executable, "-c", clock], check=True, capture_output=True,
+                             text=True).stdout) for _ in range(reps)]
+
+    peaks = []
+    for rep in range(reps):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_metrics(every, spec, 1000, 1, SeedRecord(9).child(rep),
+                        ["anywhere", "selected", "conservatism"])
+            peaks.append((tracemalloc.get_traced_memory()[1] - before) / 1e6)
+        finally:
+            tracemalloc.stop()
+
     matrix = stepped()
     t0 = time.perf_counter()
     result = suggest_b(matrix, 0.1, seed)
     out["suggest_b_stepped"] = [time.perf_counter() - t0]
-    return {"layers": out, "suggest_b_stepped": {
-        "B": result.B, "verdict": _verdict(result), "q_boot": result.q_boot,
-        "bracket_width": result.bracket_width}}
+    return {"layers": out, "peaks_mb": {"mc_paper_run_tracemalloc": peaks},
+            "suggest_b_stepped": {
+                "B": result.B, "verdict": _verdict(result), "q_boot": result.q_boot,
+                "bracket_width": result.bracket_width}}
 
 
 def suggest_b_cli(tree: Path, env: dict) -> dict:
@@ -222,9 +262,9 @@ def _machine() -> dict:
                                                    "unset (library default)")}
 
 
-def _summary(samples: list[float]) -> dict:
-    return {"min_s": round(min(samples), 5), "median_s": round(statistics.median(samples), 5),
-            "reps": len(samples)}
+def _summary(samples: list[float], unit: str = "s") -> dict:
+    return {f"min_{unit}": round(min(samples), 5),
+            f"median_{unit}": round(statistics.median(samples), 5), "reps": len(samples)}
 
 
 def main() -> int:
@@ -244,6 +284,7 @@ def main() -> int:
         trees = {"parent": args.parent.resolve(), **trees}
     order = list(trees) + list(reversed(trees))
     samples: dict[str, dict[str, list[float]]] = {side: {} for side in trees}
+    peaks: dict[str, dict[str, list[float]]] = {side: {} for side in trees}
     suggest_b_lib = {}
     for side in order:
         proc = subprocess.run([sys.executable, __file__, "--measure", "--label", args.label,
@@ -252,12 +293,16 @@ def main() -> int:
         measured = json.loads(proc.stdout)
         for layer, values in measured["layers"].items():
             samples[side].setdefault(layer, []).extend(values)
+        for layer, values in measured["peaks_mb"].items():
+            peaks[side].setdefault(layer, []).extend(values)
         suggest_b_lib[side] = measured["suggest_b_stepped"]
     report = {
         "label": args.label,
         "machine": _machine(),
         "layers": {side: {layer: _summary(v) for layer, v in layers.items()}
                    for side, layers in samples.items()},
+        "peaks": {side: {layer: _summary(v, "mb") for layer, v in layers.items()}
+                  for side, layers in peaks.items()},
         "suggest_b_stepped_defaults": suggest_b_lib,
         "suggest_b_cli_defaults": {side: suggest_b_cli(path, _env(path))
                                    for side, path in trees.items()},

@@ -14,7 +14,8 @@ any index set. ``rr_band``, ``sup_distribution`` and both passes of
 and draws each replicate once however often it doubles B.
 
 Each matrix has one deviation kernel (``_kernel``), and every consumer
-calls it. A matrix the generators built in step form (``LossMatrix._steps``)
+calls it. A matrix the generators built in step form with rising levels
+(``LossMatrix._steps``; a realization's primary matrix, not its companion)
 gets a weighted histogram of its jump bins and a cumulative sum over the
 grid, O(nK + m) per replicate, with the histograms of up to 2**14 / n
 replicates filled by one bincount per bin column (exact integer sums, so
@@ -235,8 +236,8 @@ def _kernel(matrix: LossMatrix):
     """The deviation kernel of ``matrix``: ``kernel(rows, out)`` fills the k x m
     ``out`` with the deviation rows sqrt(n) (L* - L) of k count rows c.
 
-    A stepped matrix (``LossMatrix._steps``: row i rises by 1/K at each of
-    its K bins) gets sum_{j' <= j} sum_{i,k: bins[i, k] = j'} (c_i - 1) /
+    A stepped matrix that rises (``LossMatrix._steps`` with the level table
+    c/K: row i rises by 1/K at each of its K bins) gets sum_{j' <= j} sum_{i,k: bins[i, k] = j'} (c_i - 1) /
     (K sqrt(n)) at grid point j: a weighted histogram of the bins and a
     cumulative sum, O(nK + m) per replicate. The count rows come in groups
     of g = max(1, _GROUP // n): bin column k holds the bins offset by
@@ -252,7 +253,8 @@ def _kernel(matrix: LossMatrix):
     kernel.
     """
     n, m = matrix.n, matrix.m
-    if matrix._steps is not None:
+    # the table c/K starts at 0; the companion's 1 - c/K falls, and gets the GEMM
+    if matrix._steps is not None and matrix._levels[0] == 0.0:
         g = max(1, _GROUP // n)
         # K x (g n): the one copy of the bins, offset per row of a group
         columns = np.add(matrix._steps.T[:, None, :], np.arange(0, g * (m + 1), m + 1)[:, None],

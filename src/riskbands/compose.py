@@ -4,7 +4,8 @@ Given per-component bands and a map psi from component risks to a combined
 risk, the combined band at each grid point is the range of psi over the box
 of component intervals, with error budgets added across components. psi
 comes with one monotonicity flag per coordinate, so the box extremes sit at
-two corners and two psi evaluations give them exactly.
+two corners and two psi evaluations give them exactly; a third, at the box
+centre, refuses flags that psi grossly contradicts.
 """
 
 from __future__ import annotations
@@ -68,10 +69,13 @@ def combine(
     ``psi`` must accept k equal-length numpy arrays, return one, and be
     monotone in each coordinate as the required ``psi_monotonicity`` says
     (one 'increasing' / 'decreasing' flag per component): the box extremes
-    are then the two corner evaluations. Outputs outside [0, 1] are clamped
+    are then the two corner evaluations. One more evaluation, at the box
+    centre, spot-checks the flags: a psi that is monotone as flagged has its
+    centre value between the corners'. Outputs outside [0, 1] are clamped
     with a note. Validity is the intersection of the component validity sets;
     the combined budget is the exact sum of theirs. Refused: no band, grids
-    that differ, and budgets summing to 1 or more.
+    that differ, budgets summing to 1 or more, and a centre value outside
+    [lower - 1e-12, upper + 1e-12] at some grid point.
     """
     comps = tuple(bands)
     _check_components(comps)
@@ -88,6 +92,13 @@ def combine(
     notes: tuple[str, ...] = ()
     if upper.shape != (m,) or lower.shape != (m,):
         raise ValueError("psi must return one value per grid point")
+    centre = np.asarray(psi(*((l + h) / 2.0 for l, h in zip(lows, highs))), dtype=float)
+    outside = np.flatnonzero((centre < lower - 1e-12) | (centre > upper + 1e-12))
+    if outside.size:
+        j = int(outside[0])
+        raise ValueError(f"psi is not monotone as flagged: at grid point {j} its value at the "
+                         f"box centre, {centre[j]:.6g}, lies outside the corners' "
+                         f"[{lower[j]:.6g}, {upper[j]:.6g}]")
     if (upper > 1.0 + 1e-12).any() or (lower < -1e-12).any():
         notes = ("psi-output-clamped",)
 

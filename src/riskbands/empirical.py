@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import LossMatrix, ParameterGrid, _frozen
+from .losses import _ROW_BLOCK, LossMatrix, ParameterGrid, _frozen, _step_counts
 
 FULL_GRID = "full-grid"
 SUBLEVEL = "sublevel"
@@ -86,14 +86,38 @@ def empirical_risk(matrix: LossMatrix) -> RiskCurve:
 
     The curve is computed once per matrix and kept on it (``LossMatrix._curve``),
     so every band, selection and metric on one matrix reads the same column
-    means; the values are read-only, so the kept curve cannot go stale.
+    means; the values are read-only, so the kept curve cannot go stale. A
+    generator-built matrix whose values are not built yet stays so: its
+    means come from ``_ROW_BLOCK``-row blocks of its values (see
+    ``_column_means``), bit for bit the dense mean.
     """
     curve = matrix._curve
     if curve is None:
+        means = (matrix.values.mean(axis=0) if "values" in vars(matrix)
+                 else _column_means(matrix._steps, matrix.m, matrix._levels))
         # means of in-range entries are in range; clip strips float dust only
-        curve = RiskCurve(matrix.grid, np.clip(matrix.values.mean(axis=0), 0.0, 1.0), matrix.n)
+        curve = RiskCurve(matrix.grid, np.clip(means, 0.0, 1.0), matrix.n)
         object.__setattr__(matrix, "_curve", curve)
     return curve
+
+
+def _column_means(bins: np.ndarray, m: int, levels: np.ndarray) -> np.ndarray:
+    """``_step_counts(bins, m, levels).mean(axis=0)``, bit for bit, holding one row block.
+
+    numpy sums a C-ordered array's columns row by row, so adding the running
+    sum to each block's first row and summing the block down its rows gives
+    the same adds in the same order. A one-column array is summed pairwise
+    instead, so it is taken whole (n floats, no more than the bins).
+    """
+    n = len(bins)
+    step = _ROW_BLOCK if m > 1 else n
+    total = None
+    for start in range(0, n, step):
+        block = _step_counts(bins[start:start + step], m, levels)
+        if total is not None:
+            block[0] += total
+        total = block.sum(axis=0)
+    return total / n
 
 
 def sublevel_set(curve: RiskCurve, r: float) -> IndexSet:

@@ -22,7 +22,7 @@ from .bootstrap import (SeedRecord, _map, _replicate_count, _seed_record, conser
                         rr_band)
 from .bounds import ConfidenceBand, nasm_band, wsr_band, wsr_rejects, wsr_upper
 from .empirical import empirical_risk, sublevel_set
-from .losses import NONDECREASING, NONINCREASING, LossMatrix, ParameterGrid, _step_counts
+from .losses import NONDECREASING, NONINCREASING, LossMatrix, ParameterGrid
 from .rrr import RRRConfig, rrr_band
 from .selection import SCHEMES, select_elbow, select_even_tradeoff
 
@@ -154,15 +154,15 @@ class GeneratorSpec:
         K = z.shape[1]
         # the batch fraction of draws at or below each threshold: a step
         # function of t that rises by 1/K at each draw's bin, kept as those
-        # bins; the table c/K (the companion's 1 - c/K) is written directly
+        # bins and the table c/K (the companion's 1 - c/K); the dense values
+        # are built from them on first use
         levels = np.arange(K + 1) / K
         bins = np.searchsorted(self.grid.values, z)
-        primary = LossMatrix._owning(self.grid, _step_counts(bins, m, levels), NONDECREASING,
-                                     steps=bins)
+        primary = LossMatrix._owning(self.grid, None, NONDECREASING, steps=bins, levels=levels)
         if pair:
             shifted = np.searchsorted(self.grid.values + self.tradeoff_shift, z)
-            companion = LossMatrix._owning(self.grid, _step_counts(shifted, m, 1.0 - levels),
-                                           NONINCREASING)
+            companion = LossMatrix._owning(self.grid, None, NONINCREASING, steps=shifted,
+                                           levels=1.0 - levels)
         return primary, companion, self.truth_values()
 
 

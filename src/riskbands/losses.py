@@ -9,10 +9,12 @@ restore monotonicity for nearly-monotone losses.
 
 Each row of a generated loss is a step function of t with one jump per class
 or batch draw; ``_step_counts`` builds both kinds from the jumps' grid bins, one
-run of a level per pair of consecutive bins, and the generator's matrices keep
-theirs: ``values == _step_counts(_steps, m) / K``. Such a matrix is
-nondecreasing and in [0, 1] by construction, so ``validate`` and the
-constructor's range check take it as given.
+run of a level per pair of consecutive bins. The equicorrelated generator's
+matrices keep only their n x K bins and their level table
+(``values == _step_counts(_steps, m, _levels)``): the dense values are built
+on first use and kept, and the column means are summed from row blocks
+until then. Such a matrix is monotone and in [0, 1] by construction, so
+``validate`` and the constructor's range check take it as given.
 """
 
 from __future__ import annotations
@@ -91,12 +93,20 @@ class LossMatrix:
 
     ``_steps`` is the jump bins on the matrices the equicorrelated generator
     realizes and ``None`` on every other: a read-only n x K integer array,
-    K the batch size, with ``values == _step_counts(_steps, m) / K``, so each
-    row is a step function that rises by 1/K at each of its bins (a bin of m
-    lies past the grid). The bootstrap reads it instead of the dense values
-    (see ``bootstrap._kernel``). Only the generator sets it, on a
-    nondecreasing matrix whose values come from a level table in [0, 1]: the
-    range scan and ``validate``'s scan are skipped for it.
+    K the batch size, with ``values == _step_counts(_steps, m, _levels)``, so
+    row i steps to ``_levels[c]`` after its c-th smallest bin (a bin of m
+    lies past the grid). ``_levels`` is the read-only table of K + 1 levels:
+    c/K on the primary matrix, which rises by 1/K at each bin, and 1 - c/K on
+    its tradeoff companion. Only the generator sets them, on a monotone
+    matrix whose values come from a level table in [0, 1]: the range scan
+    and ``validate``'s scan are skipped for it. Such a matrix holds no dense
+    values until ``values`` is first read; that read builds them with
+    ``_step_counts`` and keeps them, so they are bit for bit an eager
+    build's. ``n``, ``m``, the shape checks and ``empirical.empirical_risk``
+    read the bins instead, and the bootstrap reads the primary's bins (see
+    ``bootstrap._kernel``). Pickling and copying keep a matrix as it is,
+    values built or not, and ``==`` compares the grids, orientations and
+    values.
     """
 
     grid: ParameterGrid
@@ -104,46 +114,75 @@ class LossMatrix:
     orientation: str = UNCONSTRAINED
     _replicates: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _steps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _levels: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _curve: RiskCurve | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        self._check(v)
+        self._check(v.shape, v)
         object.__setattr__(self, "values", _frozen(v))
 
+    def __getattr__(self, name: str):
+        # reached only for an attribute the instance lacks: ``values`` of a
+        # generator-built matrix on first use (the fields with defaults are
+        # class attributes, so reading them here cannot recurse)
+        if name != "values" or self._steps is None:
+            raise AttributeError(name)
+        values = _step_counts(self._steps, len(self.grid), self._levels)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        return values
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, LossMatrix) and self.grid == other.grid
+                and self.orientation == other.orientation
+                and np.array_equal(self.values, other.values))
+
     @classmethod
-    def _owning(cls, grid: ParameterGrid, values: np.ndarray, orientation: str,
-                steps: np.ndarray | None = None) -> "LossMatrix":
+    def _owning(cls, grid: ParameterGrid, values: np.ndarray | None, orientation: str,
+                steps: np.ndarray | None = None,
+                levels: np.ndarray | None = None) -> "LossMatrix":
         """A matrix that takes over ``values``, an array nobody else holds.
 
         The constructor's checks, without its copy: the array itself is made
-        read-only and kept. ``steps`` becomes ``_steps``, made read-only too;
-        the generator's level table already keeps such values in [0, 1], so
-        they get the shape checks without the range scan.
+        read-only and kept. ``steps`` and ``levels`` become ``_steps`` and
+        ``_levels`` (levels c/K by default), made read-only too; the
+        generator's level table already keeps such values in [0, 1], so they
+        get the shape checks without the range scan. With ``values`` None,
+        the matrix is the bins and levels alone, and its values are built on
+        first use.
         """
-        v = np.asarray(values, dtype=float)
+        if steps is not None and levels is None:
+            levels = np.arange(steps.shape[1] + 1) / steps.shape[1]
         self = cls.__new__(cls)
-        for name, value in (("grid", grid), ("values", v), ("orientation", orientation),
-                            ("_replicates", None), ("_steps", steps), ("_curve", None)):
+        for name, value in (("grid", grid), ("orientation", orientation), ("_replicates", None),
+                            ("_steps", steps), ("_levels", levels), ("_curve", None)):
             object.__setattr__(self, name, value)
-        self._check(v, scan=steps is None)
-        v.flags.writeable = False
-        if steps is not None:
-            steps.flags.writeable = False
+        if values is None:
+            self._check((len(steps), len(grid)))
+        else:
+            v = np.asarray(values, dtype=float)
+            object.__setattr__(self, "values", v)
+            self._check(v.shape, v if steps is None else None)
+            v.flags.writeable = False
+        for array in (steps, levels):
+            if array is not None:
+                array.flags.writeable = False
         return self
 
-    def _check(self, v: np.ndarray, scan: bool = True) -> None:
-        if v.ndim != 2:
+    def _check(self, shape: tuple, v: np.ndarray | None = None) -> None:
+        # the shape checks, and the range scan of ``v`` when given
+        if len(shape) != 2:
             raise ValueError("loss values must be a 2-D array (samples x grid)")
-        if v.shape[0] < 1:
+        if shape[0] < 1:
             raise ValueError("need at least one sample row")
-        if v.shape[1] != len(self.grid):
+        if shape[1] != len(self.grid):
             raise ValueError(
-                f"loss matrix has {v.shape[1]} columns but grid has {len(self.grid)} points"
+                f"loss matrix has {shape[1]} columns but grid has {len(self.grid)} points"
             )
         # min and max propagate NaN, so one range test also catches every
         # non-finite entry without an n x m mask
-        if scan and not (v.min() >= 0.0 and v.max() <= 1.0):
+        if v is not None and not (v.min() >= 0.0 and v.max() <= 1.0):
             if not np.all(np.isfinite(v)):
                 raise ValueError("loss values must be finite")
             raise ValueError("loss values must lie in [0, 1]")
@@ -152,11 +191,11 @@ class LossMatrix:
 
     @property
     def n(self) -> int:
-        return int(self.values.shape[0])
+        return len(self._steps if self._steps is not None else self.values)
 
     @property
     def m(self) -> int:
-        return int(self.values.shape[1])
+        return len(self.grid)
 
 
 def _step_counts(bins: np.ndarray, m: int, levels: np.ndarray | None = None) -> np.ndarray:
@@ -234,8 +273,10 @@ def validate(matrix: LossMatrix, tolerance: float = 0.0) -> ValidationReport:
     orientation is scanned. Violations are reported, never raised. The check
     is exact by default (``tolerance`` 0); a positive tolerance permits
     monotonicity violations up to that size, for user-supplied matrices with
-    float dust. A matrix with ``_steps`` passes without a scan: only the
-    generator builds one, and its rows are nondecreasing by construction.
+    float dust. A matrix with ``_steps`` passes without a scan, and its
+    values are not built: only the generator builds one, and its rows are
+    monotone as declared by construction (nondecreasing on the primary,
+    nonincreasing on the companion).
     """
     if matrix._steps is not None or matrix.orientation == UNCONSTRAINED or matrix.m == 1:
         return ValidationReport(True)

@@ -101,6 +101,42 @@ class TestCombine:
         with pytest.raises(ValueError, match="flag per component"):
             combine(bands, lambda a, b: a + b, flags)
 
+    def test_psi_against_its_flags_is_refused_at_the_box_centre(self):
+        # 4a(1 - a) on [0, 0.99] flagged increasing: the corners give [0, 0.0396],
+        # while psi reaches 0.9999 at the centre
+        b1 = band([0.0] * 4, [0.99] * 4)
+        with pytest.raises(ValueError, match="not monotone as flagged: at grid point 0"):
+            combine([b1], lambda a: 4.0 * a * (1.0 - a), ["increasing"])
+        # a flag error on one component of two, seen at the one grid point
+        # whose box is not a single point
+        b2 = band([0.05, 0.0, 0.05], [0.05, 0.99, 0.05])
+        with pytest.raises(ValueError, match="at grid point 1"):
+            combine([b2, b2], lambda a, b: a + 4.0 * b * (1.0 - b), ["increasing"] * 2)
+
+    @pytest.mark.parametrize("psi, flags", [
+        (lambda a, b: a + b, ["increasing", "increasing"]),
+        (lambda a, b: a * (1.0 - b), ["increasing", "decreasing"]),
+        (lambda a, b: a / np.maximum(b, 0.01), ["increasing", "decreasing"]),
+        (lambda a, b: 0.3 * a + 0.7 * b, ["increasing", "increasing"]),
+        (lambda a, b: np.minimum(a, 1.0 - b), ["increasing", "decreasing"]),
+        (lambda a, b: np.full_like(a, 0.25), ["decreasing", "increasing"]),
+    ])
+    def test_correctly_flagged_psi_gives_the_corner_band(self, psi, flags):
+        rng = np.random.default_rng(21)
+        for trial in range(50):
+            lo1, hi1 = np.sort(rng.random((2, 9)), axis=0)
+            lo2, hi2 = np.sort(rng.random((2, 9)), axis=0)
+            if trial % 5 == 0:
+                hi1 = lo1  # degenerate boxes: every corner is the centre
+            b1, b2 = band(lo1, hi1), band(None if trial % 3 == 0 else lo2, hi2)
+            lo2 = np.zeros(9) if b2.lower is None else lo2
+            corner = lambda pick: [h if (f == "increasing") == pick else l
+                                   for f, l, h in zip(flags, (lo1, lo2), (hi1, hi2))]
+            out = combine([b1, b2], psi, flags)
+            # the band keeps its sides in [0, 1]
+            assert np.array_equal(out.upper, np.clip(psi(*corner(True)), 0.0, 1.0))
+            assert np.array_equal(out.lower, np.clip(psi(*corner(False)), 0.0, 1.0))
+
     def test_components_are_checked_before_psi(self):
         def psi(*parts):
             raise AssertionError("psi may not be evaluated")

@@ -156,15 +156,17 @@ class TestGenerator:
             assert np.array_equal(counts / batch_size, primary)
 
     def test_realize_holds_one_copy_of_the_matrix(self):
-        # realize(2000) on the paper grid builds a 16 MB matrix, which keeps
-        # that array: no copy and no n x K x m tensor beside it
+        # realize(2000) on the paper grid and the first read of its values
+        # build a 16 MB matrix, which keeps that array: no copy and no
+        # n x K x m tensor beside it
         spec = spec_for(0.2, default_synthetic_grid())
-        spec.realize(10, SeedRecord(0))
+        spec.realize(10, SeedRecord(0))[0].values
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             matrix, _ = spec.realize(2000, SeedRecord(1))
+            matrix.values
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -172,15 +174,18 @@ class TestGenerator:
         assert peak - before <= 1.25 * matrix.values.nbytes
 
     def test_realize_pair_holds_its_two_outputs(self):
-        # each matrix is written straight from its level table: no count
-        # array, in-place division or complement pass beside the two outputs
+        # each matrix's values are written straight from its level table on
+        # first read: no count array, in-place division or complement pass
+        # beside the two outputs
         spec = spec_for(0.2, default_synthetic_grid())
-        spec.realize_pair(10, SeedRecord(0))
+        for matrix in spec.realize_pair(10, SeedRecord(0))[:2]:
+            matrix.values
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             primary, companion, _ = spec.realize_pair(2000, SeedRecord(1))
+            primary.values, companion.values
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
